@@ -5,11 +5,11 @@ GH200 memory model, so a silent invariant break — bytes unaccounted
 after a REMOTE spill, counters diverging from link traffic, the
 incremental location tallies drifting from the per-page state array —
 corrupts every table the repo regenerates. :class:`MemSanitizer` is the
-guard rail: an epoch-hooked checker wired into
-:meth:`~repro.mem.subsystem.MemorySubsystem.begin_epoch` / ``access`` /
-``allocate`` / ``free`` that re-derives every conservation law from
-first principles and raises a structured :class:`InvariantViolation`
-(sim-time, epoch, offending allocation) the moment one fails.
+guard rail: a :class:`~repro.mem.observer.MemObserver` subscribed to the
+memory subsystem that re-derives every conservation law from first
+principles on each allocation, free, access descriptor and epoch, and
+raises a structured :class:`InvariantViolation` (sim-time, epoch,
+offending allocation) the moment one fails.
 
 Enabling it:
 
@@ -52,6 +52,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from ..mem.observer import MemObserver
 from ..mem.pagetable import Allocation, AllocKind
 from ..sim.config import Location
 
@@ -104,17 +105,16 @@ class InvariantViolation(AssertionError):
         return f"[{self.invariant}] {self.message} ({where}{who}){extra}"
 
 
-class MemSanitizer:
-    """Epoch-hooked invariant checker over one :class:`MemorySubsystem`.
+class MemSanitizer(MemObserver):
+    """Invariant checker observing one :class:`MemorySubsystem`.
 
-    Hook protocol (called by the subsystem when sanitizing is enabled):
-
-    * :meth:`after_alloc` / :meth:`after_free` — full sweep;
-    * :meth:`begin_epoch` — bumps the epoch counter, full sweep (runs
+    * :meth:`on_alloc` / :meth:`on_free` — full sweep;
+    * :meth:`on_epoch` — bumps the epoch counter, full sweep (runs
       *after* the migrator serviced its notifications);
-    * :meth:`after_access` — cheap path: the touched allocation plus the
-      pool and counter ledgers (a full sweep per access batch would make
-      large runs quadratic in the allocation count).
+    * :meth:`on_access` — cheap path, once per access descriptor: the
+      touched allocation plus the pool and counter ledgers (a full sweep
+      per descriptor would make large runs quadratic in the allocation
+      count).
     """
 
     def __init__(self, mem: "MemorySubsystem"):
@@ -147,18 +147,18 @@ class MemSanitizer:
 
     # -- hooks ------------------------------------------------------------
 
-    def after_alloc(self, alloc: Allocation) -> None:
+    def on_alloc(self, alloc: Allocation) -> None:
         self.check_all(alloc=alloc)
 
-    def after_free(self, alloc: Allocation) -> None:
+    def on_free(self, alloc: Allocation) -> None:
         self._check_freed_drained(alloc)
         self.check_all()
 
-    def begin_epoch(self) -> None:
+    def on_epoch(self, report) -> None:
         self.epoch += 1
         self.check_all()
 
-    def after_access(self, alloc: Allocation, now: float) -> None:
+    def on_access(self, processor, alloc, pages, shape, write, now) -> None:
         self.last_now = max(self.last_now, float(now))
         self.checks_run += 1
         self.check_pools()
@@ -172,16 +172,9 @@ class MemSanitizer:
         self.checks_run += 1
         self.check_pools()
         self.check_tables()
-        for a in self._live_allocations():
+        for a in self.mem.live_allocations():
             self.check_alloc(a)
         self.check_counters()
-
-    def _live_allocations(self) -> list[Allocation]:
-        seen: dict[int, Allocation] = {}
-        for table in (self.mem.system_table, self.mem.gpu_table):
-            for a in table.live_allocations():
-                seen[a.aid] = a
-        return list(seen.values())
 
     # -- invariant groups -------------------------------------------------
 

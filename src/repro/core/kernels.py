@@ -188,14 +188,6 @@ class KernelExecutor:
             context_init_seconds=ctx_time,
         )
         self.kernel_log.append(rec)
-        self.clock.record(
-            "kernel",
-            name=name,
-            duration=duration,
-            hbm_bytes=total.hbm_bytes,
-            remote_bytes=total.remote_bytes,
-            faults_s=round(total.fault_seconds, 9),
-        )
         return rec
 
     # -- CPU phases ------------------------------------------------------------------

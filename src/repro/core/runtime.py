@@ -44,20 +44,19 @@ class GraceHopperSystem:
         if self.mem.sanitizer is not None:
             # InvariantViolations report this system's simulated time.
             self.mem.sanitizer.clock = self.clock
-        from ..profiling.timeline import maybe_timeline
+        from ..profiling.timeline import MemTimeline, maybe_timeline
 
         #: Structured event timeline in *simulated* time (``None`` unless
-        #: requested): the clock, memory subsystem and C2C link all emit
-        #: into the same per-system timeline so sim/mem/fabric spans
-        #: interleave on one time axis.
+        #: requested): the clock, memory subsystem (via a MemTimeline
+        #: observer) and C2C link all emit into the same per-system
+        #: timeline so sim/mem/fabric spans interleave on one time axis.
         self.timeline = maybe_timeline(
             self.config, lambda: self.clock.now, name=f"sim:chip{chip}"
         )
         if self.timeline is not None:
             self.clock.timeline = self.timeline
-            self.mem.timeline = self.timeline
-            self.mem.managed.timeline = self.timeline
             self.mem.link.timeline = self.timeline
+            self.mem.observers.append(MemTimeline(self.timeline))
         self.gpu = GpuDevice(self.config, chip)
         self.cpu = CpuDevice(self.config, chip)
         self.executor = KernelExecutor(

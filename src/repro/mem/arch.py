@@ -44,6 +44,9 @@ class MemoryArchitecture:
     counters) rather than duplicate them. Backends are stateless: all
     mutable state lives in the subsystem components the construction
     hooks build, so one backend instance may serve many subsystems.
+    Hooks service first-touch faults through ``mem.first_touch`` and
+    report every migration/eviction counter bump with
+    :func:`~repro.mem.observer.emit_move`, so observers see them.
     """
 
     #: Registry key and the name ``SystemConfig.mem_arch`` selects.
@@ -92,7 +95,8 @@ class MemoryArchitecture:
 
     def prefetch_async(self, mem, alloc, pages, now) -> float:
         """``cudaMemPrefetchAsync`` toward the GPU. Returns the transfer
-        time (zero where prefetch is meaningless)."""
+        time (zero where prefetch is meaningless) and adds the moved pages
+        to ``alloc.stats.pages_migrated_to_gpu``."""
         raise NotImplementedError
 
     def oversubscription_reference_free(self, mem) -> int:

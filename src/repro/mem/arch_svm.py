@@ -43,6 +43,7 @@ from ..sim.config import Location, Processor
 from .arch import MemoryArchitecture, register_architecture
 from .arch_upm import NullMigrator
 from .faults import FaultHandler, FaultOutcome
+from .observer import emit_move
 from .pagetable import AllocKind
 from .pageset import PageSet
 from .physical import OutOfMemoryError, PhysicalMemory
@@ -182,8 +183,24 @@ class SvmArchitecture(MemoryArchitecture):
                 pages_migrated_d2h=take.count,
                 tlb_shootdowns=1,
             )
+            emit_move(mem.observers, "evict", t, nbytes, take.count)
             target -= nbytes
         return seconds
+
+    def _move_in(self, mem, alloc, fit) -> float:
+        """Migrate host-resident ``fit`` to the device pool; returns the
+        transfer seconds."""
+        nbytes = fit.count * mem.config.system_page_size
+        alloc.set_location(fit, Location.GPU)
+        mem.physical.cpu.release(nbytes, tag=_tag_of(alloc))
+        mem.physical.gpu.reserve(nbytes, tag=_tag_of(alloc))
+        t = mem.config.svm_transfer_time(nbytes)
+        mem.link.account_external(nbytes, Processor.CPU, t, "migration")
+        alloc.stats.pages_migrated_to_gpu += fit.count
+        mem.counters.bump(
+            migration_h2d_bytes=nbytes, pages_migrated_h2d=fit.count
+        )
+        return t
 
     # -- access paths ------------------------------------------------------
 
@@ -200,8 +217,7 @@ class SvmArchitecture(MemoryArchitecture):
         counts = alloc.split_counts(pages)
         unmapped = alloc.subset(pages, Location.UNMAPPED)
         if unmapped:
-            fault = mem.faults.first_touch(alloc, unmapped, Processor.GPU)
-            res.fault_seconds += fault.seconds
+            res.fault_seconds += mem.first_touch(alloc, unmapped, Processor.GPU)
         n_stale = int(counts[Location.CPU]) + int(counts[Location.CPU_PINNED])
         if n_stale:
             mem.smmu.stats.replayable_faults += n_stale
@@ -222,28 +238,17 @@ class SvmArchitecture(MemoryArchitecture):
             fit = move.take_first(mem.physical.gpu.free // page_size)
             rest = move.difference(fit)
             if fit:
-                nbytes = fit.count * page_size
-                alloc.set_location(fit, Location.GPU)
-                mem.physical.cpu.release(nbytes, tag=_tag_of(alloc))
-                mem.physical.gpu.reserve(nbytes, tag=_tag_of(alloc))
-                t = cfg.svm_transfer_time(nbytes)
-                mem.link.account_external(nbytes, Processor.CPU, t, "migration")
+                t = self._move_in(mem, alloc, fit)
                 res.transfer_seconds += t
-                alloc.stats.pages_migrated_to_gpu += fit.count
-                mem.counters.bump(
-                    migration_h2d_bytes=nbytes,
-                    pages_migrated_h2d=fit.count,
+                emit_move(
+                    mem.observers, "migrate", t, fit.count * page_size,
+                    fit.count, alloc=alloc.name,
                 )
             if rest:
                 nbytes = rest.count * page_size
                 t_in = cfg.svm_transfer_time(nbytes)
-                t_out = (
-                    cfg.svm_transfer_time(nbytes)
-                    / cfg.eviction_bandwidth_fraction
-                )
-                mem.link.account_external(
-                    nbytes, Processor.CPU, t_in, "migration"
-                )
+                t_out = t_in / cfg.eviction_bandwidth_fraction
+                mem.link.account_external(nbytes, Processor.CPU, t_in, "migration")
                 mem.link.account_external(nbytes, Processor.GPU, t_out, "dma")
                 res.transfer_seconds += t_in + t_out
                 alloc.stats.pages_evicted += rest.count
@@ -255,27 +260,15 @@ class SvmArchitecture(MemoryArchitecture):
                     pages_migrated_d2h=rest.count,
                     pages_evicted=rest.count,
                 )
+                emit_move(
+                    mem.observers, "thrash", t_in + t_out, nbytes, rest.count,
+                    alloc=alloc.name,
+                )
 
-        n_far = int(counts[Location.REMOTE])
-        if n_far and mem.fabric_port is not None:
-            wire = mem.fabric.remote_traffic(Processor.GPU, shape, n_far)
-            res.remote_bytes += wire
-            res.remote_seconds += mem.fabric_port.remote_access(
-                wire, alloc, Processor.GPU
-            )
-
-        local_bytes = shape.useful_bytes * (pages.count - n_far)
-        res.hbm_bytes += local_bytes
-        mem.counters.bump(
-            **{("hbm_write_bytes" if write else "hbm_read_bytes"): local_bytes}
+        return self._charge(
+            mem, Processor.GPU, alloc, pages, shape, write, res,
+            int(counts[Location.REMOTE]),
         )
-        res.consumed_bytes = shape.useful_bytes * pages.count
-        if alloc.kind is AllocKind.SYSTEM:
-            alloc.stats.remote_read_bytes += 0 if write else res.remote_bytes
-            alloc.stats.remote_write_bytes += res.remote_bytes if write else 0
-            alloc.stats.local_read_bytes += 0 if write else local_bytes
-            alloc.stats.local_write_bytes += local_bytes if write else 0
-        return res
 
     def _cpu_access(self, mem, alloc, pages, shape, write):
         cfg = mem.config
@@ -283,8 +276,7 @@ class SvmArchitecture(MemoryArchitecture):
         res = AccessResult()
         unmapped = alloc.subset(pages, Location.UNMAPPED)
         if unmapped:
-            fault = mem.faults.first_touch(alloc, unmapped, Processor.CPU)
-            res.fault_seconds += fault.seconds
+            res.fault_seconds += mem.first_touch(alloc, unmapped, Processor.CPU)
 
         # Device-resident pages fault host-side and migrate back over
         # the link — the ping-pong cost the eager policy cannot avoid.
@@ -308,20 +300,30 @@ class SvmArchitecture(MemoryArchitecture):
                 pages_migrated_d2h=n,
                 tlb_shootdowns=1,
             )
+            emit_move(mem.observers, "touch-back", t, nbytes, n, alloc=alloc.name)
 
-        n_far = int(alloc.split_counts(pages)[Location.REMOTE])
+        return self._charge(
+            mem, Processor.CPU, alloc, pages, shape, write, res,
+            int(alloc.split_counts(pages)[Location.REMOTE]),
+        )
+
+    def _charge(self, mem, processor, alloc, pages, shape, write, res, n_far):
+        """Charge ``n_far`` peer-resident pages remotely, the rest locally."""
         if n_far and mem.fabric_port is not None:
-            wire = mem.fabric.remote_traffic(Processor.CPU, shape, n_far)
+            wire = mem.fabric.remote_traffic(processor, shape, n_far)
             res.remote_bytes += wire
             res.remote_seconds += mem.fabric_port.remote_access(
-                wire, alloc, Processor.CPU
+                wire, alloc, processor
             )
-
         local_bytes = shape.useful_bytes * (pages.count - n_far)
-        res.lpddr_bytes += local_bytes
-        mem.counters.bump(
-            **{("lpddr_write_bytes" if write else "lpddr_read_bytes"): local_bytes}
-        )
+        if processor is Processor.GPU:
+            res.hbm_bytes += local_bytes
+            side = "hbm"
+        else:
+            res.lpddr_bytes += local_bytes
+            side = "lpddr"
+        rw = "write" if write else "read"
+        mem.counters.bump(**{f"{side}_{rw}_bytes": local_bytes})
         res.consumed_bytes = shape.useful_bytes * pages.count
         if alloc.kind is AllocKind.SYSTEM:
             alloc.stats.remote_read_bytes += 0 if write else res.remote_bytes
@@ -372,8 +374,7 @@ class SvmArchitecture(MemoryArchitecture):
         return mem.faults.prepopulate(alloc, PageSet.full(alloc.n_pages))
 
     def prefetch_async(self, mem, alloc, pages, now) -> float:
-        cfg = mem.config
-        page_size = cfg.system_page_size
+        page_size = mem.config.system_page_size
         cpu_pages = alloc.subset(pages, Location.CPU)
         if not cpu_pages:
             return 0.0
@@ -382,17 +383,7 @@ class SvmArchitecture(MemoryArchitecture):
         )
         fit = cpu_pages.take_first(mem.physical.gpu.free // page_size)
         if fit:
-            nbytes = fit.count * page_size
-            alloc.set_location(fit, Location.GPU)
-            mem.physical.cpu.release(nbytes, tag=_tag_of(alloc))
-            mem.physical.gpu.reserve(nbytes, tag=_tag_of(alloc))
-            t = cfg.svm_transfer_time(nbytes)
-            mem.link.account_external(nbytes, Processor.CPU, t, "migration")
-            alloc.stats.pages_migrated_to_gpu += fit.count
-            mem.counters.bump(
-                migration_h2d_bytes=nbytes, pages_migrated_h2d=fit.count
-            )
-            seconds += t
+            seconds += self._move_in(mem, alloc, fit)
         return seconds
 
     def oversubscription_reference_free(self, mem) -> int:

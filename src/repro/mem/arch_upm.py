@@ -41,7 +41,6 @@ from contextlib import contextmanager
 from ..sim.config import Location, Processor, SystemConfig
 from .arch import MemoryArchitecture, register_architecture
 from .faults import FaultHandler, FaultOutcome
-from .managed import ManagedOutcome
 from .migration import MigrationReport
 from .pagetable import AllocKind
 from .physical import MemoryPool, OutOfMemoryError, PhysicalMemory
@@ -186,22 +185,9 @@ class UpmArchitecture(MemoryArchitecture):
         # as local. Pages are recorded at Location.GPU on first touch.
         return Location.GPU
 
-    def system_access(self, mem, processor, alloc, pages, shape, write):
-        res = AccessResult()
-        unmapped = alloc.subset(pages, Location.UNMAPPED)
-        if unmapped:
-            fault = mem.faults.first_touch(alloc, unmapped, processor)
-            res.fault_seconds += fault.seconds
-            if mem.timeline is not None:
-                mem.timeline.complete(
-                    "first-touch", mem.timeline.now(), fault.seconds,
-                    cat="mem", track="mem/fault",
-                    alloc=alloc.name, processor=processor.name,
-                    pages=unmapped.count,
-                    pages_on_gpu=fault.pages_on_gpu,
-                    pages_on_cpu=fault.pages_on_cpu,
-                )
-
+    def _charge_local(self, mem, processor, alloc, pages, shape, write, res):
+        """Charge every mapped page of the access to the one pool; returns
+        the per-location counts and the local bytes."""
         counts = alloc.split_counts(pages)
         n_local = (
             int(counts[Location.GPU])
@@ -219,6 +205,17 @@ class UpmArchitecture(MemoryArchitecture):
             mem.counters.bump(
                 **{("lpddr_write_bytes" if write else "lpddr_read_bytes"): local_bytes}
             )
+        res.consumed_bytes = shape.useful_bytes * pages.count
+        return counts, local_bytes
+
+    def system_access(self, mem, processor, alloc, pages, shape, write):
+        res = AccessResult()
+        unmapped = alloc.subset(pages, Location.UNMAPPED)
+        if unmapped:
+            res.fault_seconds += mem.first_touch(alloc, unmapped, processor)
+        counts, local_bytes = self._charge_local(
+            mem, processor, alloc, pages, shape, write, res
+        )
 
         n_far = int(counts[Location.REMOTE])
         if n_far and mem.fabric_port is not None:
@@ -230,7 +227,6 @@ class UpmArchitecture(MemoryArchitecture):
                 wire, alloc, processor
             )
 
-        res.consumed_bytes = shape.useful_bytes * pages.count
         alloc.stats.remote_read_bytes += 0 if write else res.remote_bytes
         alloc.stats.remote_write_bytes += res.remote_bytes if write else 0
         alloc.stats.local_read_bytes += 0 if write else local_bytes
@@ -238,7 +234,7 @@ class UpmArchitecture(MemoryArchitecture):
         return res
 
     def managed_access(self, mem, processor, alloc, pages, shape, write, now):
-        out = ManagedOutcome()
+        res = AccessResult()
         if processor is Processor.GPU:
             alloc.touch_blocks(pages, now)
         unmapped = alloc.subset(pages, Location.UNMAPPED)
@@ -246,26 +242,9 @@ class UpmArchitecture(MemoryArchitecture):
             # Same handler as system memory: uniform fault economics is
             # the point of the design.
             fault = mem.faults.first_touch(alloc, unmapped, processor)
-            out.fault_seconds += fault.seconds
-
-        counts = alloc.split_counts(pages)
-        n_local = (
-            int(counts[Location.GPU])
-            + int(counts[Location.CPU])
-            + int(counts[Location.CPU_PINNED])
-        )
-        local_bytes = shape.useful_bytes * n_local
-        if processor is Processor.GPU:
-            out.hbm_bytes += local_bytes
-            mem.counters.bump(
-                **{("hbm_write_bytes" if write else "hbm_read_bytes"): local_bytes}
-            )
-        else:
-            out.lpddr_bytes += local_bytes
-            mem.counters.bump(
-                **{("lpddr_write_bytes" if write else "lpddr_read_bytes"): local_bytes}
-            )
-        return mem._from_managed(out, pages, shape)
+            res.fault_seconds += fault.seconds
+        self._charge_local(mem, processor, alloc, pages, shape, write, res)
+        return res
 
     def pinned_access(self, mem, processor, alloc, pages, shape, write):
         res = AccessResult()

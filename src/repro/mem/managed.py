@@ -35,10 +35,10 @@ from ..profiling.counters import HardwareCounters
 from ..sim.config import Location, Processor, SystemConfig
 from .coherence import AccessShape, CoherenceFabric
 from .gmmu import Gmmu
+from .observer import emit_move
 from .pagetable import Allocation, AllocKind
 from .pageset import PageSet
 from .physical import PhysicalMemory
-from .prefetch import TreePrefetcher
 from .tlb import TlbHierarchy
 
 
@@ -54,16 +54,6 @@ class ManagedOutcome:
     remote_bytes: int = 0
     evicted_bytes: int = 0
     migrated_bytes: int = 0
-
-    def merge(self, other: "ManagedOutcome") -> None:
-        self.fault_seconds += other.fault_seconds
-        self.transfer_seconds += other.transfer_seconds
-        self.remote_seconds += other.remote_seconds
-        self.hbm_bytes += other.hbm_bytes
-        self.lpddr_bytes += other.lpddr_bytes
-        self.remote_bytes += other.remote_bytes
-        self.evicted_bytes += other.evicted_bytes
-        self.migrated_bytes += other.migrated_bytes
 
 
 class ManagedMemoryManager:
@@ -86,9 +76,8 @@ class ManagedMemoryManager:
         self.tlbs = tlbs
         self.fabric = fabric
         self.counters = counters
-        self.prefetcher = TreePrefetcher(config)
-        #: Optional structured event timeline (wired by the runtime).
-        self.timeline = None
+        #: Memory observers, shared with the owning subsystem.
+        self.observers: list = []
         #: All live managed allocations, for cross-allocation LRU eviction.
         self.allocations: dict[int, Allocation] = {}
 
@@ -184,11 +173,10 @@ class ManagedMemoryManager:
                 pages_migrated_d2h=gpu_pages.count,
                 tlb_shootdowns=int(sel.size),
             )
-        if self.timeline is not None and freed:
-            self.timeline.complete(
-                "evict-batch", now, seconds, cat="mem", track="mem/eviction",
-                bytes=freed,
-            )
+        emit_move(
+            self.observers, "evict", seconds, freed,
+            freed // self.config.system_page_size, start=now,
+        )
         return freed, seconds
 
     # -- GPU access path -----------------------------------------------------------
@@ -300,7 +288,6 @@ class ManagedMemoryManager:
             # The driver gives up on migrating an allocation that cannot
             # fit: remote-map it instead (Section 7, 34-qubit behaviour).
             alloc.oversubscription_pinned = True
-            nbytes = self._page_bytes(cpu_pages.count)
             alloc.set_location(cpu_pages, Location.CPU_PINNED)
             self._remote_access(alloc, cpu_pages, shape, out, write=False)
             return
@@ -322,9 +309,10 @@ class ManagedMemoryManager:
             batches = -(-moved_bytes // self.config.managed_migration_granularity)
             out.fault_seconds += self.gmmu.far_fault(batches) + evict_t
             effective = int(moved_bytes * thrash)
-            out.transfer_seconds += self.link.streaming_time(
+            transfer = self.link.streaming_time(
                 effective, Processor.CPU, Processor.GPU
             )
+            out.transfer_seconds += transfer
             alloc.set_location(move, Location.GPU)
             self.physical.cpu.release(moved_bytes, tag=self._tag(alloc))
             self.physical.gpu.reserve(moved_bytes, tag=self._tag(alloc))
@@ -338,6 +326,10 @@ class ManagedMemoryManager:
                 migration_h2d_bytes=effective,
                 pages_migrated_h2d=move.count,
                 managed_far_faults=batches,
+            )
+            emit_move(
+                self.observers, "far-fault", transfer, effective, move.count,
+                alloc=alloc.name,
             )
         if rest:
             self._streaming_thrash(alloc, rest, shape, out)
@@ -391,12 +383,10 @@ class ManagedMemoryManager:
             pages_migrated_d2h=pages.count,
             pages_evicted=pages.count,
         )
-        if self.timeline is not None:
-            self.timeline.complete(
-                "thrash", self.timeline.now(), out.transfer_seconds,
-                cat="mem", track="mem/eviction",
-                alloc=alloc.name, pages=pages.count, bytes=effective,
-            )
+        emit_move(  # timed with the outcome's transfers so far
+            self.observers, "thrash", out.transfer_seconds, effective,
+            pages.count, alloc=alloc.name,
+        )
 
     def _remote_access(
         self,
@@ -448,9 +438,10 @@ class ManagedMemoryManager:
             alloc.set_location(victim, Location.CPU)
             self.physical.gpu.release(nbytes, tag=self._tag(alloc))
             self.physical.cpu.reserve(nbytes, tag=self._tag(alloc))
-            out.transfer_seconds += self.link.streaming_time(
+            transfer = self.link.streaming_time(
                 nbytes, Processor.GPU, Processor.CPU
             )
+            out.transfer_seconds += transfer
             out.fault_seconds += self.gmmu.far_fault(
                 len(victim.blocks(alloc.block_pages))
             ) + self.tlbs.gpu.shootdown(victim.count)
@@ -460,6 +451,10 @@ class ManagedMemoryManager:
                 migration_d2h_bytes=nbytes,
                 pages_migrated_d2h=victim.count,
                 tlb_shootdowns=1,
+            )
+            emit_move(
+                self.observers, "touch-back", transfer, nbytes, victim.count,
+                alloc=alloc.name,
             )
 
         cpu_like = int(counts[Location.CPU]) + int(counts[Location.CPU_PINNED])

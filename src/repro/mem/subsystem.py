@@ -31,6 +31,7 @@ from .coherence import AccessShape, CoherenceFabric
 from .gmmu import Gmmu
 from .managed import ManagedMemoryManager, ManagedOutcome
 from .migration import MigrationReport
+from .observer import MemObserver, emit_move
 from .pagetable import (
     Allocation,
     AllocKind,
@@ -101,17 +102,16 @@ class MemorySubsystem:
         )
         #: Set by :meth:`attach_fabric` on multi-superchip nodes.
         self.fabric_port = None
-        #: Opt-in structured event timeline (wired by the runtime along
-        #: with ``managed.timeline`` / ``link.timeline``); ``None`` keeps
-        #: the access path emission-free.
-        self.timeline = None
-        #: Opt-in invariant checker (``SystemConfig.sanitize=True`` or
-        #: ``REPRO_SANITIZE=1``); ``None`` means zero overhead.
+        #: Subscribed observers (shared with the managed-memory manager).
+        self.observers: list[MemObserver] = self.managed.observers
+        #: The subscribed invariant checker when ``SystemConfig.sanitize``
+        #: or ``REPRO_SANITIZE=1`` asks for one.
         self.sanitizer = None
         from ..check.sanitizer import MemSanitizer, sanitize_requested
 
         if sanitize_requested(config):
             self.sanitizer = MemSanitizer(self)
+            self.observers.append(self.sanitizer)
 
     # -- multi-superchip fabric -----------------------------------------------
 
@@ -152,8 +152,8 @@ class MemorySubsystem:
         else:  # pinned / numa
             self.system_table.register(alloc)
             self.physical.cpu.reserve(alloc.bytes_at(Location.CPU), f"pin:{alloc.aid}")
-        if self.sanitizer is not None:
-            self.sanitizer.after_alloc(alloc)
+        for obs in self.observers:
+            obs.on_alloc(alloc)
         return alloc
 
     def free(self, alloc: Allocation) -> float:
@@ -195,8 +195,8 @@ class MemorySubsystem:
             self.system_table.unregister(alloc)
         alloc.freed = True
         self.counters.bump(tlb_shootdowns=1)
-        if self.sanitizer is not None:
-            self.sanitizer.after_free(alloc)
+        for obs in self.observers:
+            obs.on_free(alloc)
         return seconds
 
     # -- epoch servicing -------------------------------------------------------
@@ -204,24 +204,14 @@ class MemorySubsystem:
     def begin_epoch(self) -> MigrationReport:
         """Service pending access-counter notifications (Section 2.2.1)."""
         report = self.migrator.service(self.system_table.live_allocations())
-        if self.timeline is not None:
-            now = self.timeline.now()
-            self.timeline.instant(
-                "epoch", cat="sim", track="sim/epoch",
-                pages_migrated=report.pages_migrated,
+        for obs in self.observers:
+            obs.on_epoch(report)
+        if report.pages_migrated:  # DMA concurrent with the coming epoch
+            emit_move(
+                self.observers, "migrate", report.transfer_seconds,
+                report.bytes_migrated, report.pages_migrated,
+                stall_seconds=report.stall_seconds,
             )
-            if report.pages_migrated:
-                # The DMA runs concurrently with the upcoming epoch; the
-                # span covers the transfer window from epoch start.
-                self.timeline.complete(
-                    "migrate-batch", now, report.transfer_seconds,
-                    cat="mem", track="mem/migration",
-                    pages=report.pages_migrated,
-                    bytes=report.bytes_migrated,
-                    stall_seconds=report.stall_seconds,
-                )
-        if self.sanitizer is not None:
-            self.sanitizer.begin_epoch()
         return report
 
     # -- the access path ----------------------------------------------------------
@@ -240,8 +230,8 @@ class MemorySubsystem:
             raise RuntimeError(f"{alloc.name}: use after free")
         pages = pages.clip(alloc.n_pages)
         if not pages:
-            return AccessResult()
-        if alloc.kind is AllocKind.MANAGED:
+            res = AccessResult()
+        elif alloc.kind is AllocKind.MANAGED:
             res = self.arch.managed_access(
                 self, processor, alloc, pages, shape, write, now
             )
@@ -257,8 +247,8 @@ class MemorySubsystem:
             res = self.arch.system_access(
                 self, processor, alloc, pages, shape, write
             )
-        if self.sanitizer is not None:
-            self.sanitizer.after_access(alloc, now)
+        for obs in self.observers:
+            obs.on_access(processor, alloc, pages, shape, write, now)
         return res
 
     def access_batch(
@@ -277,74 +267,62 @@ class MemorySubsystem:
         never touching the fault, residency, or migration machinery.
         Migrator counter bumps from the remaining descriptors are applied
         once at the end of the batch (they are only read at the next
-        :meth:`begin_epoch`). With the sanitizer active the per-descriptor
-        path runs unconditionally so after-access invariants fire at the
-        same points as the unbatched loop.
+        :meth:`begin_epoch`). Observers see ``on_access`` once per
+        descriptor either way.
         """
         total = AccessResult()
-        if self.sanitizer is not None or "access" in self.__dict__:
-            # Sanitized runs keep per-descriptor invariant checks; an
-            # instance-level ``access`` wrapper (the trace recorder) must
-            # see every descriptor.
-            for i, alloc in enumerate(batch.allocs):
-                total.merge(
-                    self.access(
-                        processor, alloc, batch.pages[i], batch.shape(i),
-                        write=bool(batch.write[i]), now=now,
-                    )
-                )
-            return total
+        observers = self.observers
         on_gpu = processor is Processor.GPU
         local_loc = self.arch.local_location(processor)
+        side = "hbm" if on_gpu else "lpddr"
+        counter = {False: f"{side}_read_bytes", True: f"{side}_write_bytes"}
         with self.migrator.deferred():
             for i, alloc in enumerate(batch.allocs):
                 if alloc.freed:
                     raise RuntimeError(f"{alloc.name}: use after free")
                 pages = batch.pages[i].clip(alloc.n_pages)
-                if not pages:
-                    continue
                 kind = alloc.kind
                 write = bool(batch.write[i])
-                useful = int(batch.useful_bytes[i])
-                if (
+                if pages and not (
                     kind in (AllocKind.SYSTEM, AllocKind.MANAGED)
                     and alloc.is_homogeneous(local_loc)
                 ):
-                    local_bytes = useful * pages.count
+                    total.merge(
+                        self.access(
+                            processor, alloc, pages, batch.shape(i),
+                            write=write, now=now,
+                        )
+                    )
+                    continue
+                if pages:
+                    local_bytes = int(batch.useful_bytes[i]) * pages.count
                     if on_gpu:
                         if kind is AllocKind.MANAGED:
                             alloc.touch_blocks(pages, now)
                         total.hbm_bytes += local_bytes
-                        self.counters.bump(**{
-                            (
-                                "hbm_write_bytes" if write else "hbm_read_bytes"
-                            ): local_bytes
-                        })
                     else:
                         total.lpddr_bytes += local_bytes
-                        self.counters.bump(**{
-                            (
-                                "lpddr_write_bytes"
-                                if write
-                                else "lpddr_read_bytes"
-                            ): local_bytes
-                        })
+                    self.counters.bump(**{counter[write]: local_bytes})
                     if kind is AllocKind.SYSTEM:
                         if write:
                             alloc.stats.local_write_bytes += local_bytes
                         else:
                             alloc.stats.local_read_bytes += local_bytes
                     total.consumed_bytes += local_bytes
-                    continue
-                total.merge(
-                    self.access(
-                        processor, alloc, pages, batch.shape(i),
-                        write=write, now=now,
-                    )
-                )
+                if observers:
+                    shape = batch.shape(i)
+                    for obs in observers:
+                        obs.on_access(processor, alloc, pages, shape, write, now)
         return total
 
     # -- per-kind paths --------------------------------------------------------------
+
+    def first_touch(self, alloc: Allocation, unmapped: PageSet, processor):
+        """Service a first-touch fault; returns its seconds."""
+        fault = self.faults.first_touch(alloc, unmapped, processor)
+        for obs in self.observers:
+            obs.on_fault(processor, alloc, unmapped, fault)
+        return fault.seconds
 
     def _system_access(
         self,
@@ -357,17 +335,7 @@ class MemorySubsystem:
         res = AccessResult()
         unmapped = alloc.subset(pages, Location.UNMAPPED)
         if unmapped:
-            fault = self.faults.first_touch(alloc, unmapped, processor)
-            res.fault_seconds += fault.seconds
-            if self.timeline is not None:
-                self.timeline.complete(
-                    "first-touch", self.timeline.now(), fault.seconds,
-                    cat="mem", track="mem/fault",
-                    alloc=alloc.name, processor=processor.name,
-                    pages=unmapped.count,
-                    pages_on_gpu=fault.pages_on_gpu,
-                    pages_on_cpu=fault.pages_on_cpu,
-                )
+            res.fault_seconds += self.first_touch(alloc, unmapped, processor)
 
         counts = alloc.split_counts(pages)
         local_loc = Location.GPU if processor is Processor.GPU else Location.CPU
@@ -520,15 +488,24 @@ class MemorySubsystem:
             raise ValueError("prefetch_async applies to managed allocations")
         pages = PageSet.full(alloc.n_pages) if pages is None else pages
         pages = pages.clip(alloc.n_pages)
+        before = alloc.stats.pages_migrated_to_gpu
         seconds = self.arch.prefetch_async(self, alloc, pages, now)
-        if self.timeline is not None:
-            self.timeline.complete(
-                "prefetch", now, seconds, cat="mem", track="mem/prefetch",
-                alloc=alloc.name, pages=pages.count,
-            )
+        moved = alloc.stats.pages_migrated_to_gpu - before
+        emit_move(
+            self.observers, "prefetch", seconds, moved * alloc.page_size, moved,
+            pages=pages.count, alloc=alloc.name, start=now,
+        )
         return seconds
 
     # -- introspection (profiler back-end) ---------------------------------------------
+
+    def live_allocations(self) -> list[Allocation]:
+        """Every live allocation once (managed ones sit in both tables)."""
+        seen = {}
+        for table in (self.system_table, self.gpu_table):
+            for alloc in table.live_allocations():
+                seen[alloc.aid] = alloc
+        return list(seen.values())
 
     def process_rss_bytes(self) -> int:
         """Resident set size: CPU-resident pages of all live allocations

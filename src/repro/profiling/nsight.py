@@ -32,7 +32,7 @@ class FaultSummary:
 
 
 class NsightTrace:
-    """A post-mortem view over counters and the clock's trace log."""
+    """A post-mortem view over counters and the system timeline."""
 
     def __init__(
         self,
@@ -72,10 +72,15 @@ class NsightTrace:
         ]
 
     def migration_events(self) -> list[dict]:
-        """Migration/eviction activity entries from the clock trace."""
-        rows = []
-        for ev in self.clock.events("activity"):
-            name = ev.payload.get("name", "")
-            if name.startswith(("prefetch:", "free:")) or "migrat" in name:
-                rows.append({"time": ev.time, **ev.payload})
-        return rows
+        """Migration/eviction/prefetch/free spans of ``gh.timeline``."""
+        if self.clock.timeline is None:
+            raise RuntimeError(
+                "migration_events needs the system timeline: set "
+                "SystemConfig(timeline=True) or REPRO_TIMELINE=1"
+            )
+        return [
+            {"time": s.start, "name": s.name, "duration": s.duration, **s.args}
+            for s in self.clock.timeline.spans()
+            if s.name.startswith(("prefetch", "free:", "evict", "thrash"))
+            or "migrat" in s.name
+        ]

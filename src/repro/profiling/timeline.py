@@ -46,6 +46,8 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Callable, Iterator
 
+from ..mem.observer import MemObserver
+
 #: Environment variable enabling timelines globally (like REPRO_SANITIZE).
 ENV_FLAG = "REPRO_TIMELINE"
 
@@ -356,6 +358,54 @@ class Timeline:
         return (
             f"<Timeline {self.name!r} {len(self._events)} event(s), "
             f"{self.dropped} dropped>"
+        )
+
+
+#: Move kind -> (span name, track, ((span arg, ``MemMove`` field), ..)).
+#: Far-fault and touch-back moves draw no span: their time is inside the
+#: faulting kernel's or CPU phase's span.
+_MOVE_SPANS = {
+    "migrate": ("migrate-batch", "mem/migration", (
+        ("pages", "pages"), ("bytes", "h2d_bytes"),
+        ("stall_seconds", "stall_seconds"))),
+    "evict": ("evict-batch", "mem/eviction", (("bytes", "evicted_bytes"),)),
+    "thrash": ("thrash", "mem/eviction", (
+        ("alloc", "alloc"), ("pages", "pages"), ("bytes", "h2d_bytes"))),
+    "prefetch": ("prefetch", "mem/prefetch", (
+        ("alloc", "alloc"), ("pages", "pages"))),
+}
+
+
+class MemTimeline(MemObserver):
+    """Draws a memory subsystem's observer events onto a :class:`Timeline`
+    (the ``mem`` spans and ``epoch`` instants of docs/model.md §14)."""
+
+    def __init__(self, timeline: Timeline):
+        self.timeline = timeline
+
+    def on_epoch(self, report) -> None:
+        self.timeline.instant(
+            "epoch", cat="sim", track="sim/epoch",
+            pages_migrated=report.pages_migrated,
+        )
+
+    def on_fault(self, processor, alloc, pages, outcome) -> None:
+        self.timeline.complete(
+            "first-touch", self.timeline.now(), outcome.seconds,
+            cat="mem", track="mem/fault",
+            alloc=alloc.name, processor=processor.name, pages=pages.count,
+            pages_on_gpu=outcome.pages_on_gpu,
+            pages_on_cpu=outcome.pages_on_cpu,
+        )
+
+    def on_move(self, move) -> None:
+        if move.kind not in _MOVE_SPANS:
+            return
+        name, track, fields = _MOVE_SPANS[move.kind]
+        start = self.timeline.now() if move.start is None else move.start
+        self.timeline.complete(
+            name, start, move.seconds, cat="mem", track=track,
+            **{arg: getattr(move, field) for arg, field in fields},
         )
 
 

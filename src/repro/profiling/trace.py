@@ -10,8 +10,8 @@ workload's memory behaviour can be:
   application logic — the cheapest way to sweep configurations over an
   expensive workload.
 
-Recording wraps ``MemorySubsystem.access`` non-invasively; traces
-serialise to JSON lines.
+Recording is an observer of the memory subsystem, so batched accesses
+stay on the fused path; traces serialise to JSON lines.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ import numpy as np
 from typing import TYPE_CHECKING
 
 from ..mem.coherence import AccessShape
+from ..mem.observer import MemObserver
 from ..mem.pageset import PageSet
 from ..mem.pagetable import AllocKind
 from ..sim.config import Processor
@@ -172,49 +173,54 @@ def _compact(pages: PageSet) -> tuple:
     return ("indices", pages.indices().tolist())
 
 
-class TraceRecorder:
-    """Context manager wrapping a subsystem's access path."""
+class TraceRecorder(MemObserver):
+    """Context manager subscribing to a subsystem's access events."""
 
     def __init__(self, mem: "MemorySubsystem"):
         self.mem = mem
         self.trace = AccessTrace()
-        self._original = None
 
     def __enter__(self) -> "TraceRecorder":
-        if self._original is not None:
+        if self in self.mem.observers:
             raise RuntimeError("recorder already active")
-        self._original = self.mem.access
-
-        def recording_access(processor, alloc, pages, shape, *, write=False,
-                             now=0.0):
-            clipped = pages.clip(alloc.n_pages)
-            self.trace.records.append(
-                TraceRecord(
-                    alloc_name=alloc.name,
-                    alloc_kind=alloc.kind.value,
-                    alloc_bytes=alloc.nbytes,
-                    page_size=alloc.page_size,
-                    processor=processor.value,
-                    write=write,
-                    useful_bytes=shape.useful_bytes,
-                    element_bytes=shape.element_bytes,
-                    density=shape.density,
-                    pages=_compact(clipped),
-                )
-            )
-            return self._original(
-                processor, alloc, pages, shape, write=write, now=now
-            )
-
-        self.mem.access = recording_access
+        self.mem.observers.append(self)
         return self
 
     def __exit__(self, *exc) -> None:
-        assert self._original is not None
-        # Remove the instance-level wrapper so lookup falls back to the
-        # class method.
-        del self.mem.access
-        self._original = None
+        self.mem.observers.remove(self)
+
+    def on_access(self, processor, alloc, pages, shape, write, now) -> None:
+        self.trace.records.append(
+            TraceRecord(
+                alloc_name=alloc.name,
+                alloc_kind=alloc.kind.value,
+                alloc_bytes=alloc.nbytes,
+                page_size=alloc.page_size,
+                processor=processor.value,
+                write=write,
+                useful_bytes=shape.useful_bytes,
+                element_bytes=shape.element_bytes,
+                density=shape.density,
+                pages=_compact(pages),
+            )
+        )
+
+
+def replay_record(gh, alloc, rec: TraceRecord) -> None:
+    """Re-issue one recorded access on ``gh`` and advance its clock by
+    the access's cost."""
+    result = gh.mem.access(
+        Processor(rec.processor), alloc, rec.pageset(), rec.shape(),
+        write=rec.write, now=gh.now,
+    )
+    cost = (
+        result.fault_seconds
+        + result.remote_seconds
+        + result.transfer_seconds
+        + result.hbm_bytes / gh.config.hbm_bandwidth
+        + result.lpddr_bytes / gh.config.cpu_memory_bandwidth
+    )
+    gh.clock.advance(cost, activity=f"replay:{rec.alloc_name}")
 
 
 def replay(
@@ -241,18 +247,7 @@ def replay(
             gpu_batches += 1
             if gpu_batches % max(epoch_every, 1) == 0:
                 gh.mem.begin_epoch()
-        result = gh.mem.access(
-            proc, alloc, rec.pageset(), rec.shape(),
-            write=rec.write, now=gh.now,
-        )
-        cost = (
-            result.fault_seconds
-            + result.remote_seconds
-            + result.transfer_seconds
-            + result.hbm_bytes / gh.config.hbm_bandwidth
-            + result.lpddr_bytes / gh.config.cpu_memory_bandwidth
-        )
-        gh.clock.advance(cost, activity=f"replay:{rec.alloc_name}")
+        replay_record(gh, alloc, rec)
     return {
         "replay_seconds": gh.now - t0,
         "allocations": len(allocs),

@@ -18,7 +18,7 @@ from .calibration import (
     check_calibration,
     derive_anchors,
 )
-from .engine import SimClock, Stopwatch, TraceEvent
+from .engine import SimClock, Stopwatch
 
 __all__ = [
     "SystemConfig",
@@ -27,7 +27,6 @@ __all__ = [
     "FirstTouchPolicy",
     "SimClock",
     "Stopwatch",
-    "TraceEvent",
     "Anchor",
     "derive_anchors",
     "check_calibration",

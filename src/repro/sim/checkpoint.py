@@ -44,7 +44,7 @@ import numpy as np
 
 #: Bump to invalidate persisted checkpoints after any change to the
 #: captured state set or its serialisation.
-CKPT_SCHEMA = 1
+CKPT_SCHEMA = 2
 
 STATS_FILE = "_ckpt_stats.json"
 
@@ -86,16 +86,6 @@ class _PoolState:
     by_tag: dict
 
 
-def _all_allocations(mem) -> list:
-    """Every live allocation, each once (managed allocations are
-    registered in both page tables)."""
-    seen: dict[int, object] = {}
-    for table in (mem.system_table, mem.gpu_table):
-        for alloc in table.allocations.values():
-            seen[id(alloc)] = alloc
-    return list(seen.values())
-
-
 class SystemCheckpoint:
     """A restorable snapshot of one simulated system's mutable state."""
 
@@ -103,7 +93,6 @@ class SystemCheckpoint:
         self.schema = CKPT_SCHEMA
         self.clock_now: float = 0.0
         self.clock_seq: int = 0
-        self.trace_events: list = []
         self.counters_total = None
         self.kernel_records: list = []
         self.pools: dict[str, _PoolState] = {}
@@ -135,7 +124,6 @@ class SystemCheckpoint:
         ck = cls()
         ck.clock_now = clock.now
         ck.clock_seq = clock._seq
-        ck.trace_events = list(clock.trace)
         ck.counters_total = total.snapshot()
         ck.kernel_records = list(counters.kernel_records)
 
@@ -154,7 +142,7 @@ class SystemCheckpoint:
         ck.gmmu = dataclasses.replace(mem.gmmu.stats)
         ck.migrator_notifications = mem.migrator.notifications_seen
 
-        for alloc in _all_allocations(mem):
+        for alloc in mem.live_allocations():
             if alloc.name in ck.allocs:
                 raise CheckpointUnavailable(
                     f"duplicate allocation name {alloc.name!r}; restore is "
@@ -190,7 +178,7 @@ class SystemCheckpoint:
         """
         mem = gh.mem
         live = {}
-        for alloc in _all_allocations(mem):
+        for alloc in mem.live_allocations():
             live[alloc.name] = alloc
         missing = sorted(set(self.allocs) - set(live))
         if missing:
@@ -249,8 +237,6 @@ class SystemCheckpoint:
         clock._now = self.clock_now
         clock._seq = self.clock_seq
         clock._queue.clear()
-        clock.trace.clear()
-        clock.trace.extend(self.trace_events)
 
     # -- identity ----------------------------------------------------------
 
@@ -282,7 +268,6 @@ class SystemCheckpoint:
             "schema": self.schema,
             "now": repr(self.clock_now),
             "seq": self.clock_seq,
-            "trace_len": len(self.trace_events),
             "counters": _as_jsonable(self.counters_total),
             "kernel_records": len(self.kernel_records),
             "pools": {

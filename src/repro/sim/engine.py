@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator
+from typing import Callable
 
 
 @dataclass(order=True)
@@ -32,19 +32,6 @@ class _ScheduledEvent:
     action: Callable[[], None] = field(compare=False)
     label: str = field(compare=False, default="")
     cancelled: bool = field(compare=False, default=False)
-
-
-@dataclass
-class TraceEvent:
-    """One record in the simulation trace (Nsight-style timeline entry)."""
-
-    time: float
-    kind: str
-    payload: dict[str, Any] = field(default_factory=dict)
-
-    def __repr__(self) -> str:  # compact, log-friendly
-        inner = ", ".join(f"{k}={v}" for k, v in self.payload.items())
-        return f"<{self.kind} @ {self.time * 1e3:.3f} ms {inner}>"
 
 
 class TickListener:
@@ -74,7 +61,7 @@ class TickListener:
 
 
 class SimClock:
-    """Simulated wall clock with an event queue and trace log."""
+    """Simulated wall clock with an event queue."""
 
     def __init__(self) -> None:
         self._now = 0.0
@@ -83,8 +70,6 @@ class SimClock:
         #: epoch checkpoints can capture and restore it.
         self._seq = 0
         self._listeners: list[TickListener] = []
-        self.trace: list[TraceEvent] = []
-        self.trace_enabled = True
         #: Optional :class:`repro.profiling.Timeline` (wired by the
         #: runtime when timelines are requested; ``None`` keeps the
         #: advance hot path emission-free).
@@ -110,8 +95,6 @@ class SimClock:
         self._now = target
         for listener in self._listeners:
             listener.catch_up(self._now)
-        if activity and self.trace_enabled:
-            self.record("activity", name=activity, duration=dt)
         if activity and self.timeline is not None:
             self.timeline.complete(
                 activity, target - dt, dt, cat="sim", track="sim/activity"
@@ -169,17 +152,6 @@ class SimClock:
     def remove_tick_listener(self, listener: TickListener) -> None:
         self._listeners.remove(listener)
 
-    # -- tracing -----------------------------------------------------------
-
-    def record(self, kind: str, **payload: Any) -> None:
-        if self.trace_enabled:
-            self.trace.append(TraceEvent(self._now, kind, payload))
-
-    def events(self, kind: str | None = None) -> Iterator[TraceEvent]:
-        for ev in self.trace:
-            if kind is None or ev.kind == kind:
-                yield ev
-
     def reset(self) -> None:
         self._now = 0.0
         self._queue.clear()
@@ -189,7 +161,6 @@ class SimClock:
         # Re-arm each one relative to the rewound clock instead.
         for listener in self._listeners:
             listener.reset(0.0)
-        self.trace.clear()
         # Restart the tie-break sequence too, so event ordering is
         # reproducible across back-to-back runs in one process (pooled
         # experiment workers reuse the interpreter).

@@ -166,6 +166,7 @@ def incremental_replay(
     """
     from ..core.runtime import GraceHopperSystem
     from ..profiling.timeline import maybe_timeline
+    from ..profiling.trace import replay_record
 
     config = config or SystemConfig.paper_gh200()
     records = list(trace)
@@ -263,18 +264,7 @@ def incremental_replay(
             gpu_batches += 1
             if gpu_batches % max(epoch_every, 1) == 0:
                 gh.mem.begin_epoch()
-        result = gh.mem.access(
-            proc, alloc, rec.pageset(), rec.shape(),
-            write=rec.write, now=gh.now,
-        )
-        cost = (
-            result.fault_seconds
-            + result.remote_seconds
-            + result.transfer_seconds
-            + result.hbm_bytes / gh.config.hbm_bandwidth
-            + result.lpddr_bytes / gh.config.cpu_memory_bandwidth
-        )
-        gh.clock.advance(cost, activity=f"replay:{rec.alloc_name}")
+        replay_record(gh, alloc, rec)
     if tl is not None:
         tl.complete(
             "checkpoint-replay",

@@ -149,6 +149,18 @@ class TestStore:
         assert fresh.get(key).fingerprint() == ck.fingerprint()
         assert fresh.hits == 1 and fresh.restored_bytes == ck.nbytes
 
+    def test_stale_schema_spill_is_a_miss(self, tmp_path):
+        gh = make_system()
+        warm(gh)
+        ck = SystemCheckpoint.capture(gh)
+        ck.schema -= 1  # written by an older release
+        key = CheckpointStore.key("cfg", 1, "d", [])
+        CheckpointStore(tmp_path).put(key, ck)
+        fresh = CheckpointStore(tmp_path)
+        assert fresh.contains(key)
+        assert fresh.get(key) is None
+        assert fresh.misses == 1 and fresh.hits == 0
+
     def test_key_depends_on_prefix_and_interventions(self):
         base = CheckpointStore.key("cfg", 1, "digest", [])
         assert CheckpointStore.key("cfg", 1, "digest", []) == base

@@ -19,19 +19,6 @@ class TestClockAdvance:
         with pytest.raises(ValueError):
             SimClock().advance(-1)
 
-    def test_advance_records_activity(self):
-        clock = SimClock()
-        clock.advance(0.1, activity="kernel")
-        acts = list(clock.events("activity"))
-        assert len(acts) == 1
-        assert acts[0].payload["name"] == "kernel"
-
-    def test_trace_can_be_disabled(self):
-        clock = SimClock()
-        clock.trace_enabled = False
-        clock.advance(0.1, activity="x")
-        assert not clock.trace
-
 
 class TestScheduledEvents:
     def test_events_fire_in_order(self):

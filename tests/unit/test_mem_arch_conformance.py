@@ -25,6 +25,7 @@ from repro.mem.arch import (
     resolve_arch,
 )
 from repro.mem.coherence import AccessShape
+from repro.mem.observer import MemObserver
 from repro.mem.pageset import PageSet
 from repro.mem.pagetable import AllocKind
 from repro.mem.subsystem import MemorySubsystem
@@ -233,6 +234,38 @@ def test_prefetch_is_nonnegative_and_coherent(arch_name):
     assert_byte_conservation(mem, [alloc])
 
 
+#: ``MemMove`` field -> the hardware counter it reconciles with.
+MOVE_COUNTERS = {
+    "h2d_bytes": "migration_h2d_bytes",
+    "d2h_bytes": "migration_d2h_bytes",
+    "evicted_bytes": "eviction_bytes",
+    "h2d_pages": "pages_migrated_h2d",
+    "d2h_pages": "pages_migrated_d2h",
+    "evicted_pages": "pages_evicted",
+}
+
+
+class MoveTally(MemObserver):
+    """Sums every observed move's bytes and pages."""
+
+    def __init__(self):
+        self.sums = dict.fromkeys(MOVE_COUNTERS, 0)
+        self.kinds = set()
+
+    def on_move(self, move):
+        self.kinds.add(move.kind)
+        for name in MOVE_COUNTERS:
+            self.sums[name] += getattr(move, name)
+
+    def counters_view(self):
+        return {MOVE_COUNTERS[k]: v for k, v in self.sums.items()}
+
+
+def counter_view(mem):
+    total = mem.counters.total
+    return {name: getattr(total, name) for name in MOVE_COUNTERS.values()}
+
+
 def _oversubscribe(mem):
     """CPU-first-touch two allocations whose combined footprint exceeds
     the GPU-sized tier, then ping-pong full-range GPU reads — the access
@@ -268,7 +301,11 @@ def test_oversubscription_stress_upholds_contract(arch_name):
     fault/migration/eviction step on every backend, and pool occupancy
     never exceeds capacity."""
     mem = make_mem(arch_name)
+    tally = MoveTally()
+    mem.observers.append(tally)
     a, b = _oversubscribe(mem)
+    # Observed moves reconcile exactly with the hardware counters.
+    assert tally.counters_view() == counter_view(mem)
     assert mem.physical.gpu.used <= mem.physical.gpu.capacity
     assert mem.physical.cpu.used <= mem.physical.cpu.capacity
     total = mem.counters.total
@@ -282,6 +319,29 @@ def test_oversubscription_stress_upholds_contract(arch_name):
     mem.free(a)
     mem.free(b)
     assert_byte_conservation(mem, [a, b])
+
+
+def test_managed_moves_reconcile_with_counters(arch_name):
+    """Managed oversubscription (eviction and, beside a balloon, thrash),
+    prefetch and CPU touch-back: every move that bumps a migration or
+    eviction counter reaches observers."""
+    gh = GraceHopperSystem(make_cfg(arch_name))
+    tally = MoveTally()
+    gh.mem.observers.append(tally)
+    gh.install_balloon(gh.balloon_reference_free() // 2)
+    size = int(0.75 * gh.config.gpu_memory_bytes) // 4
+    a = gh.cuda_malloc_managed(np.float32, size, name="a")
+    b = gh.cuda_malloc_managed(np.float32, size, name="b")
+    gh.cpu_phase("init", [ArrayAccess.write_(a), ArrayAccess.write_(b)])
+    for _ in range(2):
+        gh.launch_kernel("ka", [ArrayAccess.read(a)])
+        gh.launch_kernel("kb", [ArrayAccess.write_(b)])
+    gh.prefetch_to_gpu(a)
+    gh.cpu_phase("back", [ArrayAccess.read(a), ArrayAccess.read(b)])
+    assert tally.counters_view() == counter_view(gh.mem)
+    if arch_name != "upm":
+        assert gh.counters.total.pages_migrated_h2d > 0
+        assert gh.counters.total.pages_evicted > 0
 
 
 def test_free_after_evict_drains_all_pool_tags(arch_name):

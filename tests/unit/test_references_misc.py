@@ -5,7 +5,6 @@ import pytest
 
 from repro.apps.srad import srad_reference
 from repro.bench.report import format_cell
-from repro.sim.engine import SimClock, TraceEvent
 
 
 class TestSradReference:
@@ -44,17 +43,3 @@ class TestFormatCell:
 
     def test_ints_pass_through(self):
         assert format_cell(42) == "42"
-
-
-class TestTraceEvent:
-    def test_repr_is_compact(self):
-        ev = TraceEvent(0.001234, "kernel", {"name": "k", "duration": 1})
-        text = repr(ev)
-        assert "kernel" in text and "name=k" in text and "ms" in text
-
-    def test_clock_events_filter(self):
-        clock = SimClock()
-        clock.record("a", x=1)
-        clock.record("b", y=2)
-        assert [e.kind for e in clock.events()] == ["a", "b"]
-        assert [e.kind for e in clock.events("b")] == ["b"]

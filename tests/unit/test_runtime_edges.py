@@ -11,7 +11,9 @@ from repro.sim.config import Location, MiB, SystemConfig
 
 @pytest.fixture
 def gh():
-    return GraceHopperSystem(SystemConfig.scaled(1 / 128, page_size=65536))
+    return GraceHopperSystem(
+        SystemConfig.scaled(1 / 128, page_size=65536, timeline=True)
+    )
 
 
 class TestMemcpySemantics:
@@ -75,6 +77,12 @@ class TestNsightViews:
         trace = NsightTrace(gh.clock, gh.counters, gh.mem)
         events = trace.migration_events()
         assert any("prefetch" in e.get("name", "") for e in events)
+
+    def test_migration_events_need_a_timeline(self, monkeypatch):
+        monkeypatch.delenv("REPRO_TIMELINE", raising=False)
+        gh = GraceHopperSystem(SystemConfig.scaled(1 / 128))
+        with pytest.raises(RuntimeError, match="timeline"):
+            NsightTrace(gh.clock, gh.counters, gh.mem).migration_events()
 
     def test_kernel_timeline_ordering(self, gh):
         gh.launch_kernel("first", [])

@@ -190,3 +190,56 @@ def test_sharded_fabric_conservation_violation():
     link.stats.fwd_bytes += 4096  # direction total without a class entry
     with pytest.raises(InvariantViolation, match="fabric-conservation"):
         node.step(lambda chip, gh: None)
+
+
+# -- the fused batch path --------------------------------------------------
+
+
+def _warm_cpu_batch(gh, n):
+    """A CPU-resident system array and ``n`` fast-path read descriptors."""
+    from repro.mem.batch import AccessBatch
+
+    x = gh.malloc(np.float32, 1 << 18, name="x")
+    gh.cpu_phase("init", [ArrayAccess.write_(x)])
+    return x, AccessBatch.from_accesses([ArrayAccess.read(x)] * n)
+
+
+def _count_access_calls(monkeypatch):
+    from repro.mem.subsystem import MemorySubsystem
+
+    calls = []
+    access = MemorySubsystem.access
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return access(self, *args, **kwargs)
+
+    monkeypatch.setattr(MemorySubsystem, "access", counted)
+    return calls
+
+
+def test_checks_run_once_per_fast_path_descriptor(gh, monkeypatch):
+    from repro.sim.config import Processor
+
+    _, batch = _warm_cpu_batch(gh, 3)
+    calls = _count_access_calls(monkeypatch)
+    san = gh.mem.sanitizer
+    before = san.checks_run
+    gh.mem.access_batch(Processor.CPU, batch, now=gh.now)
+    assert calls == []  # every descriptor stayed on the fused path
+    assert san.checks_run - before == 3
+
+
+def test_violation_in_fast_path_descriptor_is_raised(gh, monkeypatch):
+    from repro.sim.config import Processor
+
+    x, batch = _warm_cpu_batch(gh, 1)
+    calls = _count_access_calls(monkeypatch)
+    # Corrupt a tally the fast path never reads (residency stays
+    # homogeneous, so the descriptor is still charged on the fused path).
+    x.alloc._gpu_block_counts[0] += 1
+    with pytest.raises(InvariantViolation) as exc:
+        gh.mem.access_batch(Processor.CPU, batch, now=gh.now)
+    assert calls == []
+    assert exc.value.invariant == "residency-exclusivity"
+    assert exc.value.alloc_name == "x"

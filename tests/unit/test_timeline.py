@@ -283,7 +283,6 @@ class TestGating:
         gh = GraceHopperSystem(SystemConfig.scaled(1 / 64))
         assert gh.timeline is None
         assert gh.clock.timeline is None
-        assert gh.mem.timeline is None
         before = tlmod.TOTAL_EMITTED
         a = gh.malloc(np.float32, 1 << 16, name="a")
         gh.launch_kernel("k", [ArrayAccess.read(a)])
@@ -295,9 +294,13 @@ class TestGating:
         gh = GraceHopperSystem(SystemConfig.scaled(1 / 64, timeline=True))
         assert gh.timeline is not None
         assert gh.clock.timeline is gh.timeline
-        assert gh.mem.timeline is gh.timeline
-        assert gh.mem.managed.timeline is gh.timeline
         assert gh.mem.link.timeline is gh.timeline
+        # Memory-model spans land on the system timeline.
+        a = gh.malloc(np.float32, 1 << 16, name="a")
+        gh.launch_kernel("k", [ArrayAccess.write_(a)])
+        (fault,) = gh.timeline.spans("first-touch")
+        assert fault.track == "mem/fault" and fault.args["alloc"] == "a"
+        assert gh.timeline.instants("epoch")
 
 
 # ----------------------------------------------------------------------

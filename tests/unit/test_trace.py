@@ -1,17 +1,23 @@
 """Unit tests for access-trace recording and replay."""
 
+import contextlib
+
 import numpy as np
 import pytest
 
 from repro.core.kernels import ArrayAccess
 from repro.core.runtime import GraceHopperSystem
+from repro.mem.pageset import PageSet
+from repro.mem.subsystem import MemorySubsystem
 from repro.profiling.trace import AccessTrace, TraceRecord, TraceRecorder, replay
 from repro.sim.config import MiB, SystemConfig
 
 
-def fresh(page=65536, migration=False):
+def fresh(page=65536, migration=False, **overrides):
     return GraceHopperSystem(
-        SystemConfig.scaled(1 / 256, page_size=page, migration_enable=migration)
+        SystemConfig.scaled(
+            1 / 256, page_size=page, migration_enable=migration, **overrides
+        )
     )
 
 
@@ -49,14 +55,15 @@ class TestRecording:
         ps = rec.pageset()
         assert ps.count < ps.stop - ps.start
 
-    def test_recorder_restores_access(self):
-        from repro.mem.subsystem import MemorySubsystem
-
+    def test_leaving_the_recorder_unsubscribes_it(self):
         gh = fresh()
-        with TraceRecorder(gh.mem):
-            assert "access" in vars(gh.mem)  # instance-level wrapper
-        assert "access" not in vars(gh.mem)
-        assert gh.mem.access.__func__ is MemorySubsystem.access
+        before = list(gh.mem.observers)
+        with TraceRecorder(gh.mem) as rec:
+            assert rec in gh.mem.observers
+        assert gh.mem.observers == before
+        x = gh.malloc(np.float32, (1 << 16,), name="x")
+        gh.cpu_phase("init", [ArrayAccess.write_(x)])
+        assert len(rec.trace) == 0
 
     def test_nested_recording_rejected(self):
         gh = fresh()
@@ -70,6 +77,86 @@ class TestRecording:
         assert trace.gpu_write_fraction() == 0.0
         fp = trace.footprint_bytes()
         assert "x" in fp and fp["x"] > 0
+
+
+def record_mixed_workload(gh):
+    """Fast-path, slow-path and out-of-range (empty after clipping)
+    descriptors over system and managed memory."""
+    with TraceRecorder(gh.mem) as rec:
+        x = gh.malloc(np.float32, (1 << 18,), name="x")
+        m = gh.cuda_malloc_managed(np.float32, (1 << 18,), name="m")
+        n = x.alloc.n_pages
+        gh.cpu_phase("init", [ArrayAccess.write_(x), ArrayAccess.write_(m)])
+        gh.cpu_phase("warm", [
+            ArrayAccess.read(x),
+            ArrayAccess.read(m, fraction=0.5),
+            ArrayAccess.read(x, PageSet.range(n + 4, n + 8)),
+        ])
+        gh.launch_kernel("k", [
+            ArrayAccess.write_(m),
+            ArrayAccess.read(x, PageSet.range(0, 2)),
+            ArrayAccess.write_(m, PageSet.range(n, n + 3)),
+        ])
+        gh.launch_kernel("k2", [
+            ArrayAccess.read(m), ArrayAccess.read(m, density=0.25),
+        ])
+    return rec.trace
+
+
+#: ``record_mixed_workload``'s trace as (alloc, processor, write,
+#: useful_bytes, density, pages): one record per descriptor in issue
+#: order, out-of-range descriptors (empty after clipping) included.
+MIXED_TRACE = [
+    ("x", "cpu", True, 65536, 1.0, ("range", 0, 16)),
+    ("m", "cpu", True, 65536, 1.0, ("range", 0, 16)),
+    ("x", "cpu", False, 65536, 1.0, ("range", 0, 16)),
+    ("m", "cpu", False, 32768, 1.0, ("range", 0, 16)),
+    ("x", "cpu", False, 65536, 1.0, ("range", 0, 0)),
+    ("m", "gpu", True, 65536, 1.0, ("range", 0, 16)),
+    ("x", "gpu", False, 65536, 1.0, ("range", 0, 2)),
+    ("m", "gpu", True, 65536, 1.0, ("range", 0, 0)),
+    ("m", "gpu", False, 65536, 1.0, ("range", 0, 16)),
+    ("m", "gpu", False, 65536, 0.25, ("range", 0, 16)),
+]
+
+
+class TestSingleBatchPath:
+    """Observers see every descriptor of the fused ``access_batch``."""
+
+    @pytest.mark.parametrize("overrides", [{}, {"sanitize": True}])
+    def test_trace_matches_per_descriptor_recording(self, overrides):
+        trace = record_mixed_workload(fresh(**overrides))
+        got = [
+            (r.alloc_name, r.processor, r.write, r.useful_bytes, r.density,
+             tuple(r.pages))
+            for r in trace
+        ]
+        assert got == MIXED_TRACE
+
+    @pytest.mark.parametrize("observer", [None, "recorder", "sanitizer"])
+    def test_warm_epoch_makes_no_access_calls(self, monkeypatch, observer):
+        gh = fresh(sanitize=observer == "sanitizer")
+        x = gh.malloc(np.float32, (1 << 18,), name="x")
+        m = gh.cuda_malloc_managed(np.float32, (1 << 18,), name="m")
+        gh.cpu_phase("init", [ArrayAccess.write_(x)])
+        gh.launch_kernel("init", [ArrayAccess.write_(m)])
+        calls = []
+        access = MemorySubsystem.access
+
+        def counted(self, *args, **kwargs):
+            calls.append(args)
+            return access(self, *args, **kwargs)
+
+        monkeypatch.setattr(MemorySubsystem, "access", counted)
+        recorder = TraceRecorder(gh.mem)
+        with recorder if observer == "recorder" else contextlib.nullcontext():
+            gh.cpu_phase("warm", [ArrayAccess.read(x)])
+            gh.launch_kernel(
+                "warm", [ArrayAccess.read(m), ArrayAccess.write_(m)]
+            )
+        assert calls == []
+        if observer == "recorder":
+            assert len(recorder.trace) == 3
 
 
 class TestPersistence:
