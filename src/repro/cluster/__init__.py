@@ -1,37 +1,25 @@
-"""Distributed serving tier: gateway, replica fleet, shared cache.
+"""Distributed serving tier: a replica fleet behind the service core.
 
 ``repro.serve`` made the experiment registry a single long-lived
-service; this package is the next layer up, toward the ROADMAP's
-million-user north star. A :class:`Gateway` consistent-hash-routes
-JSON-lines requests across N replica
-:class:`~repro.serve.service.SimulationService` processes (spawned
-locally or addressed by ``host:port``), behind a shared
-read-through/write-back cache tier with per-replica hit/byte
-accounting, gateway-wide exactly-once coalescing, health-checked
-replica respawn with hash-ring remapping, and load-shedding policies
-(shed batch before interactive, per-tenant quotas) built on the same
-:class:`~repro.serve.queue.BoundedPriorityQueue` admission semantics.
-``repro.cluster.traffic`` proves it: a seeded bursty Zipf traffic
-generator replays ≥10⁶ requests and reports goodput + p50/p99/p999
-curves vs replica count (``repro-bench cluster bench``).
+service; this package is the next layer up. A gateway is that same
+:class:`~repro.serve.service.SimulationService` — one admission queue,
+one coalescing map, one memory-over-disk cache with per-owner
+accounting, one metrics schema, one TCP front — whose executor is a
+:class:`Fleet`: consistent-hash routing across N replica
+``repro-bench serve`` processes (spawned locally or addressed by
+``host:port``), re-routing on connection loss, and health-checked
+replica respawn with exact hash-ring rejoin. ``repro.cluster.traffic``
+proves it: a seeded bursty Zipf traffic generator replays ≥10⁶ requests
+and reports goodput + p50/p99/p999 curves vs replica count
+(``repro-bench cluster bench``).
 
 The gateway/fleet shape follows the hierarchy-of-simulations idiom the
 ROADMAP names as exemplar: higher tiers are built *from* lower-tier
-services, not around them — a replica is exactly the PR-3 service,
+services, not around them — a replica is exactly the single service,
 untouched, and the cluster tier only routes, never alters, results.
 """
 
-from .gateway import (
-    REASON_LOAD_SHED,
-    REASON_NO_REPLICAS,
-    REASON_TENANT_QUOTA,
-    Gateway,
-    GatewayConfig,
-    GatewayHandle,
-    GatewayMetrics,
-    request_key,
-    serve_gateway_tcp,
-)
+from .fleet import REASON_NO_REPLICAS, Fleet
 from .replicas import (
     AsyncReplicaConnection,
     LocalReplicaProcess,
@@ -39,7 +27,6 @@ from .replicas import (
     ReplicaUnavailable,
 )
 from .ring import HashRing, ring_hash
-from .shared_cache import ReplicaCacheAccount, SharedCacheTier
 from .traffic import (
     SYNTHETIC_EXP_ID,
     SYNTHETIC_RUNNER,
@@ -55,30 +42,21 @@ from .traffic import (
 
 __all__ = [
     "AsyncReplicaConnection",
-    "Gateway",
-    "GatewayConfig",
-    "GatewayHandle",
-    "GatewayMetrics",
+    "Fleet",
     "HashRing",
     "LocalReplicaProcess",
-    "REASON_LOAD_SHED",
     "REASON_NO_REPLICAS",
-    "REASON_TENANT_QUOTA",
     "Replica",
-    "ReplicaCacheAccount",
     "ReplicaUnavailable",
     "RequestStream",
     "SYNTHETIC_EXP_ID",
     "SYNTHETIC_RUNNER",
-    "SharedCacheTier",
     "TrafficMix",
     "generate_stream",
     "key_cost_ms",
-    "request_key",
     "ring_hash",
     "run_scaling",
     "run_traffic",
     "scaling_table",
-    "serve_gateway_tcp",
     "synthetic_job_runner",
 ]

@@ -2,7 +2,8 @@
 
 Two subcommands:
 
-* ``cluster serve`` — run the gateway as a long-lived TCP endpoint in
+* ``cluster serve`` — run the gateway (the ``repro-bench serve`` core
+  and TCP front with a :class:`~repro.cluster.fleet.Fleet` executor) in
   front of N local replicas (and/or pre-existing ``--replica host:port``
   endpoints); protocol-compatible with ``repro-bench submit``.
 * ``cluster bench`` — the synthetic traffic harness: replay one seeded
@@ -15,16 +16,22 @@ from __future__ import annotations
 
 import argparse
 import asyncio
-import contextlib
 import json
 import logging
 import shutil
-import signal
 import sys
 import tempfile
 
 from ..bench.runner import ResultCache
-from .gateway import Gateway, GatewayConfig, serve_gateway_tcp
+from ..serve.cache import CacheTier
+from ..serve.service import (
+    ServiceConfig,
+    SimulationService,
+    add_endpoint_args,
+    endpoint_config,
+    serve_until_signalled,
+)
+from .fleet import Fleet
 from .traffic import (
     SYNTHETIC_RUNNER,
     TrafficMix,
@@ -74,6 +81,30 @@ def _add_fleet_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _make_gateway(
+    args, replicas: int, addresses=(), **config
+) -> SimulationService:
+    """The service core over a fleet, from the shared fleet flags."""
+    fleet = Fleet(
+        replicas,
+        addresses=addresses,
+        workers_per_replica=args.workers_per_replica,
+        replica_capacity=args.replica_capacity,
+        max_outstanding_per_replica=args.outstanding_per_replica,
+        health_interval=args.health_interval,
+        vnodes=args.vnodes,
+    )
+    return SimulationService(
+        ServiceConfig(
+            capacity=args.capacity,
+            shed_batch_above=args.shed_batch_above,
+            tenant_quota=args.tenant_quota,
+            **config,
+        ),
+        executor=fleet,
+    )
+
+
 def _parse_counts(spec: str) -> tuple[int, ...]:
     try:
         counts = tuple(int(part) for part in spec.split(",") if part)
@@ -106,74 +137,15 @@ def _main_serve(argv: list[str]) -> int:
         description="Gateway + replica fleet over TCP (JSON lines); "
         "pair with 'repro-bench submit --port 8640'.",
     )
-    parser.add_argument("--host", default="127.0.0.1")
-    parser.add_argument("--port", type=int, default=8640)
+    add_endpoint_args(parser, port=8640)
     _add_fleet_args(parser)
-    parser.add_argument(
-        "--interactive-limit", type=int, default=None, metavar="N",
-        help="max queued interactive-class jobs at the gateway",
-    )
-    parser.add_argument(
-        "--batch-limit", type=int, default=None, metavar="N",
-        help="max queued batch-class jobs at the gateway",
-    )
-    parser.add_argument("--cache-dir", metavar="DIR")
-    parser.add_argument("--no-cache", action="store_true")
-    parser.add_argument(
-        "--runner", metavar="MODULE:FUNCTION", default=None,
-        help="custom replica job body (implies accepting any exp_id)",
-    )
-    parser.add_argument(
-        "--timeout", type=float, default=None,
-        help="per-job timeout replicas apply to their workers",
-    )
     args = parser.parse_args(argv)
 
     logging.basicConfig(level=logging.INFO, format="%(message)s")
-    class_limits = {}
-    if args.interactive_limit is not None:
-        class_limits["interactive"] = args.interactive_limit
-    if args.batch_limit is not None:
-        class_limits["batch"] = args.batch_limit
-    known = None
-    if args.runner is None:
-        from ..bench.experiments import experiment_ids
-
-        known = frozenset(experiment_ids())
-    config = GatewayConfig(
-        replicas=int(args.replicas),
-        addresses=tuple(args.addresses),
-        workers_per_replica=args.workers_per_replica,
-        replica_capacity=args.replica_capacity,
-        runner_spec=args.runner,
-        replica_timeout=args.timeout,
-        capacity=args.capacity,
-        class_limits=class_limits or None,
-        shed_batch_above=args.shed_batch_above,
-        tenant_quota=args.tenant_quota,
-        max_outstanding_per_replica=args.outstanding_per_replica,
-        health_interval=args.health_interval,
-        cache=None if args.no_cache else ResultCache(args.cache_dir),
-        known_experiments=known,
-        vnodes=args.vnodes,
+    gateway = _make_gateway(
+        args, int(args.replicas), args.addresses, **endpoint_config(args)
     )
-
-    async def amain() -> None:
-        gateway = Gateway(config)
-        await gateway.start()
-        loop = asyncio.get_running_loop()
-        server_task = asyncio.ensure_future(
-            serve_gateway_tcp(gateway, args.host, args.port)
-        )
-        for sig in (signal.SIGINT, signal.SIGTERM):
-            with contextlib.suppress(NotImplementedError):
-                loop.add_signal_handler(sig, server_task.cancel)
-        try:
-            await server_task
-        except asyncio.CancelledError:
-            await gateway.shutdown()
-
-    asyncio.run(amain())
+    asyncio.run(serve_until_signalled(gateway, args.host, args.port))
     return 0
 
 
@@ -205,7 +177,7 @@ def _main_bench(argv: list[str]) -> int:
     parser.add_argument("--tenants", type=int, default=8)
     parser.add_argument(
         "--no-disk-cache", action="store_true",
-        help="memory-only shared cache (default: fresh temp disk tier "
+        help="memory-only cache tier (default: fresh temp disk tier "
         "per replica count, so runs are comparable)",
     )
     parser.add_argument(
@@ -261,25 +233,17 @@ def _main_bench(argv: list[str]) -> int:
     )
     tempdirs: list[str] = []
 
-    def make_gateway(n: int) -> Gateway:
-        cache = None
+    def make_gateway(n: int) -> SimulationService:
+        disk = None
         if not args.no_disk_cache:
             tempdirs.append(tempfile.mkdtemp(prefix="repro-cluster-"))
-            cache = ResultCache(tempdirs[-1])
-        return Gateway(GatewayConfig(
-            replicas=n,
-            workers_per_replica=args.workers_per_replica,
-            replica_capacity=args.replica_capacity,
+            disk = ResultCache(tempdirs[-1])
+        return _make_gateway(
+            args, n,
             runner_spec=SYNTHETIC_RUNNER,
-            capacity=args.capacity,
-            shed_batch_above=args.shed_batch_above,
-            tenant_quota=args.tenant_quota,
-            max_outstanding_per_replica=args.outstanding_per_replica,
-            health_interval=args.health_interval,
-            cache=cache,
-            known_experiments=None,
-            vnodes=args.vnodes,
-        ))
+            cache=CacheTier(disk),
+            metrics_interval=0,
+        )
 
     def log(message: str) -> None:
         print(message, flush=True)
@@ -370,7 +334,7 @@ def _check_assertions(args, reports: list[dict]) -> list[str]:
                     f"(shed={interactive['shed_total']} "
                     f"failed={interactive['failed']})"
                 )
-            accounts = report["gateway"]["shared_cache"]["per_replica"]
+            accounts = report["gateway"]["cache"]["per_owner"]
             if not accounts:
                 failures.append(f"replicas={n}: no per-replica cache "
                                 "accounting in the metrics snapshot")

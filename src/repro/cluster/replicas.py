@@ -2,7 +2,7 @@
 
 A replica is one :class:`~repro.serve.service.SimulationService` — either
 spawned locally as a ``repro-bench serve`` subprocess (port 0, parsed
-from its ready line) or addressed remotely as ``host:port``. The gateway
+from its ready line) or addressed remotely as ``host:port``. The fleet
 talks to each replica over a single :class:`AsyncReplicaConnection`
 carrying many concurrent requests, correlated by the ``id`` field the
 serve protocol echoes back (see :func:`repro.serve.service.serve_tcp`).
@@ -19,12 +19,13 @@ import subprocess
 import sys
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
-from .ring import ring_hash  # noqa: F401  (re-exported for convenience)
-
 _READY_PREFIX = "repro-serve listening on "
+
+#: Seconds a spawned replica has to print its ready line.
+SPAWN_TIMEOUT = 120.0
 
 
 class ReplicaUnavailable(ConnectionError):
@@ -152,9 +153,6 @@ class LocalReplicaProcess:
         workers: int = 2,
         capacity: int = 64,
         runner_spec: str | None = None,
-        timeout: float | None = None,
-        spawn_timeout: float = 60.0,
-        extra_args: list[str] | None = None,
     ):
         self.name = name
         argv = [
@@ -162,14 +160,11 @@ class LocalReplicaProcess:
             "--host", "127.0.0.1", "--port", "0",
             "--workers", str(workers),
             "--capacity", str(capacity),
-            "--no-cache",  # the gateway owns the shared cache tier
+            "--no-cache",  # the gateway owns the cache hierarchy
             "--metrics-interval", "0",
         ]
         if runner_spec:
             argv += ["--runner", runner_spec]
-        if timeout:
-            argv += ["--timeout", str(timeout)]
-        argv += extra_args or []
         self.proc = subprocess.Popen(
             argv,
             stdout=subprocess.PIPE,
@@ -177,7 +172,7 @@ class LocalReplicaProcess:
             env=_repro_env(),
             text=True,
         )
-        self.host, self.port = self._await_ready(spawn_timeout)
+        self.host, self.port = self._await_ready(SPAWN_TIMEOUT)
         # Keep the pipe drained so the child can never block on stdout.
         threading.Thread(
             target=self._drain_stdout, name=f"{name}-stdout", daemon=True
@@ -199,7 +194,7 @@ class LocalReplicaProcess:
                 raise TimeoutError(f"{self.name} never reported ready")
 
     def _drain_stdout(self) -> None:
-        with contextlib.suppress(Exception):
+        with contextlib.suppress(Exception), self.proc.stdout:
             for _ in self.proc.stdout:
                 pass
 
@@ -229,9 +224,10 @@ class LocalReplicaProcess:
 
 @dataclass
 class Replica:
-    """Gateway-side handle on one fleet member."""
+    """Fleet-side handle on one member."""
 
     replica_id: str
+    local: bool = True  # spawned here (vs. dialled at host:port)
     host: str = ""
     port: int = 0
     conn: AsyncReplicaConnection | None = None
@@ -242,11 +238,6 @@ class Replica:
     forwarded: int = 0  # requests sent to this replica
     completed: int = 0  # successful replies
     errors: int = 0  # connection losses / failed replies
-    spawn_kwargs: dict = field(default_factory=dict)
-
-    @property
-    def local(self) -> bool:
-        return self.proc is not None or bool(self.spawn_kwargs)
 
     @property
     def address(self) -> str:

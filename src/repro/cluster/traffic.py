@@ -8,7 +8,7 @@ reality the ROADMAP targets:
 
 * **interactive** traffic hammers a small hot key set (Zipf, steep
   exponent) — after the first burst it is almost entirely coalesced or
-  answered by the gateway's shared cache;
+  answered by the gateway's cache;
 * **batch** traffic sweeps a long configuration tail (Zipf, shallow
   exponent) — mostly unique keys, each costing real replica work, which
   is what makes goodput scale with fleet size and what the shedding
@@ -16,7 +16,9 @@ reality the ROADMAP targets:
 
 Replica work is synthetic but honest: the worker sleeps a per-key
 deterministic ``cost_ms``, so capacity genuinely sums across replica
-processes. :func:`run_traffic` drives one gateway and reports goodput,
+processes. :func:`run_traffic` drives one gateway (a
+:class:`~repro.serve.service.SimulationService` whose executor is a
+:class:`~repro.cluster.fleet.Fleet`) and reports goodput,
 shed counts, and p50/p99/p999 latency per class;
 :func:`run_scaling` repeats the same seeded replay at several replica
 counts.
@@ -249,6 +251,7 @@ async def run_traffic(
     Returns the traffic report (goodput, per-class latency and shed
     counts, per-replica accounting, exactly-once bookkeeping)."""
     stream = stream or generate_stream(mix)
+    fleet = gateway.executor
     stats = {"interactive": _ClassStats(), "batch": _ClassStats()}
     outstanding = 0
     submitted = 0
@@ -305,7 +308,7 @@ async def run_traffic(
                 and killed_pid is None
                 and submitted >= kill_after
             ):
-                killed_pid = await gateway.kill_replica(kill_replica)
+                killed_pid = await fleet.kill_replica(kill_replica)
                 if log:
                     log(f"killed replica {kill_replica} "
                         f"(pid {killed_pid}) after {submitted} requests")
@@ -320,7 +323,7 @@ async def run_traffic(
         # a bounded window to finish before the final snapshot.
         deadline = time.monotonic() + 30.0
         while time.monotonic() < deadline:
-            snap = gateway.metrics_snapshot()
+            snap = fleet.snapshot()
             if snap["respawns"] >= 1 and all(
                 r["healthy"] for r in snap["replicas"].values()
             ):
@@ -328,7 +331,7 @@ async def run_traffic(
             await asyncio.sleep(0.1)
 
     gw_snap = gateway.metrics_snapshot()
-    replica_metrics = await gateway.replica_metrics()
+    replica_metrics = await fleet.replica_metrics()
     executed_total = sum(
         m.get("jobs", {}).get("executed", 0)
         for m in replica_metrics.values()
@@ -336,12 +339,12 @@ async def run_traffic(
     service = _service_summary(replica_metrics, wall)
     misses_total = sum(
         acct["misses"]
-        for acct in gw_snap["shared_cache"]["per_replica"].values()
+        for acct in gw_snap["cache"].get("per_owner", {}).values()
     )
     completed = sum(s.completed for s in stats.values())
     report = {
         "mix": mix.describe(),
-        "replicas": len(gw_snap["replicas"]),
+        "replicas": len(gw_snap["executor"]["replicas"]),
         "wall_s": round(wall, 3),
         "offered": len(stream),
         "unique_keys": stream.unique_keys,
@@ -352,8 +355,8 @@ async def run_traffic(
         "service": service,
         # What a planner needs to reconstruct key->replica routing.
         "routing": {
-            "vnodes": gateway.config.vnodes,
-            "workers_per_replica": gateway.config.workers_per_replica,
+            "vnodes": fleet.vnodes,
+            "workers_per_replica": fleet.workers_per_replica,
         },
         "classes": {name: s.snapshot() for name, s in stats.items()},
         "exactly_once": {
@@ -363,7 +366,7 @@ async def run_traffic(
             "executed_total": executed_total,
         },
         "killed_pid": killed_pid,
-        "respawns": gw_snap["respawns"],
+        "respawns": gw_snap["executor"]["respawns"],
         "gateway": gw_snap,
         "replica_metrics": replica_metrics,
     }

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..cluster.gateway import request_key
 from ..cluster.ring import HashRing
 from ..cluster.traffic import (
     SYNTHETIC_EXP_ID,
@@ -36,6 +35,7 @@ from ..cluster.traffic import (
     generate_stream,
     key_cost_ms,
 )
+from ..serve.cache import request_key
 from .queueing import finite_run_wall_s
 
 #: Ring size the gateway defaults to; scaling tables carry the actual
@@ -106,7 +106,7 @@ def routed_work_s(
     """Per-replica ``(jobs, work seconds)`` under consistent hashing.
 
     Rebuilds the gateway's ring (``r0..rN-1``, same vnode count) and
-    routes every unique key exactly as :meth:`Gateway.submit` would.
+    routes every unique key exactly as the fleet executor would.
     The spread across replicas — not the mean — bounds the replay's
     makespan: key affinity means a loaded replica cannot steal work
     from an idle one."""

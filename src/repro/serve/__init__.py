@@ -5,13 +5,15 @@ sizes, and oversubscription ratios across applications. This package
 turns the one-shot experiment registry into a long-lived service:
 submissions pass admission control into a bounded priority queue,
 identical concurrent requests coalesce onto one execution, completed
-ones are answered from the PR-1 result cache, and a supervised
-worker-process pool runs the rest with per-job timeouts, bounded
-retries, and crash restarts — all observable through a JSON metrics
-snapshot. ``repro-bench serve`` / ``repro-bench submit`` expose it over
-TCP.
+ones are answered from a memory-over-disk cache hierarchy, and an
+executor runs the rest — by default a supervised worker-process pool
+with per-job timeouts, bounded retries, and crash restarts; the
+``repro.cluster`` fleet is the other executor — all observable through
+one JSON metrics snapshot. ``repro-bench serve`` / ``repro-bench
+submit`` expose it over TCP.
 """
 
+from .cache import CacheTier, request_key
 from .client import ServeClient
 from .metrics import ServiceMetrics
 from .queue import (
@@ -20,7 +22,6 @@ from .queue import (
     Job,
     QueueClosed,
 )
-from .scheduler import Scheduler
 from .service import JobHandle, ServiceConfig, SimulationService, serve_tcp
 from .workers import (
     DEFAULT_RUNNER,
@@ -35,13 +36,13 @@ from .workers import (
 __all__ = [
     "AdmissionError",
     "BoundedPriorityQueue",
+    "CacheTier",
     "DEFAULT_RUNNER",
     "Job",
     "JobError",
     "JobFailed",
     "JobHandle",
     "QueueClosed",
-    "Scheduler",
     "ServeClient",
     "ServiceConfig",
     "ServiceMetrics",
@@ -50,5 +51,6 @@ __all__ = [
     "WorkerCrashed",
     "WorkerProcess",
     "WorkerTimeout",
+    "request_key",
     "serve_tcp",
 ]

@@ -1,20 +1,22 @@
-"""Gateway-resident shared cache tier.
+"""The service's cache tier, whichever executor runs its jobs.
 
-One cache for the whole fleet, layered over the PR-1 on-disk
+One cache per service, layered over the PR-1 on-disk
 :class:`~repro.bench.runner.ResultCache`:
 
 * **read-through** — a lookup tries the in-memory LRU first, then the
   disk cache (promoting a disk hit into memory), and only a full miss
-  reaches a replica;
-* **write-back** — replica results land in memory immediately (the next
+  reaches the executor;
+* **write-back** — results land in memory immediately (the next
   identical request is a hit before any I/O happens) and are flushed to
-  the disk cache by a background thread, so a gateway restart warm-starts
+  the disk cache by a background thread, so a restart warm-starts
   from disk.
 
-Every access is attributed to the replica that *owns* the key on the
-hash ring at that moment, giving per-replica hit/byte accounting: which
-slice of the keyspace is hot, and how many bytes the cache served on a
-replica's behalf.
+Every access is attributed to the *owner* of the key at that moment
+(``"local"`` for a worker pool, the replica on the hash ring for a
+fleet), giving per-owner hit/byte accounting: which slice of the
+keyspace is hot, and how many bytes the cache served on an owner's
+behalf. Entries are keyed by :func:`request_key`; the disk tier keeps
+its own fingerprint inside ``ResultCache``.
 """
 
 from __future__ import annotations
@@ -24,20 +26,31 @@ import json
 import queue
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..bench.runner import ResultCache, _deserialize, _serialize
 
+#: Memory-tier bounds (entries, serialised bytes); LRU beyond either.
+CACHE_MAX_ENTRIES = 65536
+CACHE_MAX_BYTES = 256 << 20
+
+
+def request_key(exp_id: str, kwargs: dict) -> str:
+    """Canonical coalescing/cache/routing key for one what-if."""
+    return exp_id + "|" + json.dumps(
+        kwargs, sort_keys=True, separators=(",", ":"), default=repr
+    )
+
 
 @dataclass
-class ReplicaCacheAccount:
-    """Cache traffic attributed to one replica's keyspace slice."""
+class CacheAccount:
+    """Cache traffic attributed to one owner's keyspace slice."""
 
     hits: int = 0  # memory + promoted disk hits
     disk_hits: int = 0  # subset of hits served read-through
-    misses: int = 0  # went to the replica
+    misses: int = 0  # went to the executor
     bytes_served: int = 0  # payload bytes answered from cache
-    stores: int = 0  # write-backs of this replica's results
+    stores: int = 0  # write-backs of this owner's results
     bytes_stored: int = 0
 
     def snapshot(self) -> dict:
@@ -55,32 +68,36 @@ class ReplicaCacheAccount:
 class _Entry:
     payload: dict
     nbytes: int
-    exp_id: str
-    kwargs: dict = field(default_factory=dict)
 
 
-class SharedCacheTier:
-    """In-memory LRU over an optional on-disk :class:`ResultCache`."""
+class CacheTier:
+    """In-memory LRU over an optional on-disk :class:`ResultCache`.
+
+    Thread-safe: the event loop reads and stores while disk read-through
+    promotes entries from a worker thread, so the LRU and the accounts
+    sit behind one lock.
+    """
 
     def __init__(
         self,
         disk: ResultCache | None = None,
         *,
-        max_entries: int = 65536,
-        max_bytes: int = 256 << 20,
+        max_entries: int = CACHE_MAX_ENTRIES,
+        max_bytes: int = CACHE_MAX_BYTES,
     ):
         self.disk = disk
         self.max_entries = max_entries
         self.max_bytes = max_bytes
+        self._lock = threading.Lock()
         self._mem: OrderedDict[str, _Entry] = OrderedDict()
         self._bytes = 0
         self.evictions = 0
-        self.accounts: dict[str, ReplicaCacheAccount] = {}
+        self.accounts: dict[str, CacheAccount] = {}
         self._dirty: queue.Queue = queue.Queue()
         self._flusher: threading.Thread | None = None
         if disk is not None:
             self._flusher = threading.Thread(
-                target=self._flush_loop, name="cluster-cache-flush",
+                target=self._flush_loop, name="serve-cache-flush",
                 daemon=True,
             )
             self._flusher.start()
@@ -89,27 +106,28 @@ class SharedCacheTier:
     # Lookup / store
     # ------------------------------------------------------------------
 
-    def _account(self, replica_id: str) -> ReplicaCacheAccount:
-        account = self.accounts.get(replica_id)
+    def _account(self, owner: str) -> CacheAccount:
+        account = self.accounts.get(owner)
         if account is None:
-            account = self.accounts[replica_id] = ReplicaCacheAccount()
+            account = self.accounts[owner] = CacheAccount()
         return account
 
-    def get_memory(self, key: str, replica_id: str) -> dict | None:
+    def get_memory(self, key: str, owner: str) -> dict | None:
         """Memory-tier lookup (safe on the event loop). A miss here is
         *not* yet accounted — :meth:`get_disk` or :meth:`miss` settles
         it, so one request never counts twice."""
-        entry = self._mem.get(key)
-        if entry is None:
-            return None
-        self._mem.move_to_end(key)
-        account = self._account(replica_id)
-        account.hits += 1
-        account.bytes_served += entry.nbytes
-        return entry.payload
+        with self._lock:
+            entry = self._mem.get(key)
+            if entry is None:
+                return None
+            self._mem.move_to_end(key)
+            account = self._account(owner)
+            account.hits += 1
+            account.bytes_served += entry.nbytes
+            return entry.payload
 
     def get_disk(
-        self, key: str, exp_id: str, kwargs: dict, replica_id: str
+        self, key: str, exp_id: str, kwargs: dict, owner: str
     ) -> dict | None:
         """Read-through: disk lookup + promotion into memory. Blocking
         (call via ``asyncio.to_thread``); accounts the hit, but leaves
@@ -120,37 +138,38 @@ class SharedCacheTier:
         if result is None:
             return None
         payload = _serialize(result)
-        nbytes = self._insert(key, payload, exp_id, kwargs)
-        account = self._account(replica_id)
-        account.hits += 1
-        account.disk_hits += 1
-        account.bytes_served += nbytes
+        with self._lock:
+            nbytes = self._insert(key, payload)
+            account = self._account(owner)
+            account.hits += 1
+            account.disk_hits += 1
+            account.bytes_served += nbytes
         return payload
 
-    def miss(self, replica_id: str) -> None:
-        """Record one full miss (the request is being forwarded)."""
-        self._account(replica_id).misses += 1
+    def miss(self, owner: str) -> None:
+        """Record one full miss (the request goes to the executor)."""
+        with self._lock:
+            self._account(owner).misses += 1
 
     def put(
         self, key: str, payload: dict, exp_id: str, kwargs: dict,
-        replica_id: str,
+        owner: str,
     ) -> None:
         """Write-back: memory immediately, disk asynchronously."""
-        nbytes = self._insert(key, payload, exp_id, kwargs)
-        account = self._account(replica_id)
-        account.stores += 1
-        account.bytes_stored += nbytes
+        with self._lock:
+            nbytes = self._insert(key, payload)
+            account = self._account(owner)
+            account.stores += 1
+            account.bytes_stored += nbytes
         if self.disk is not None:
             self._dirty.put((payload, kwargs))
 
-    def _insert(
-        self, key: str, payload: dict, exp_id: str, kwargs: dict
-    ) -> int:
+    def _insert(self, key: str, payload: dict) -> int:
         old = self._mem.pop(key, None)
         if old is not None:
             self._bytes -= old.nbytes
         nbytes = len(json.dumps(payload, default=repr))
-        self._mem[key] = _Entry(payload, nbytes, exp_id, dict(kwargs))
+        self._mem[key] = _Entry(payload, nbytes)
         self._bytes += nbytes
         while self._mem and (
             len(self._mem) > self.max_entries or self._bytes > self.max_bytes
@@ -172,21 +191,12 @@ class SharedCacheTier:
             payload, kwargs = item
             with contextlib.suppress(Exception):  # cache I/O is advisory
                 self.disk.put(_deserialize(payload), **kwargs)
-            self._dirty.task_done()
-
-    def flush(self, timeout: float = 10.0) -> None:
-        """Block until every queued write-back reached disk."""
-        if self.disk is None:
-            return
-        waiter = threading.Thread(target=self._dirty.join, daemon=True)
-        waiter.start()
-        waiter.join(timeout)
 
     def close(self) -> None:
-        self.flush()
+        """Write every queued result back to disk, then stop the flusher."""
         if self._flusher is not None:
-            self._dirty.put(None)
-            self._flusher.join(timeout=5)
+            self._dirty.put(None)  # queued behind every pending write-back
+            self._flusher.join(timeout=15)
             self._flusher = None
 
     # ------------------------------------------------------------------
@@ -197,19 +207,17 @@ class SharedCacheTier:
     def entries(self) -> int:
         return len(self._mem)
 
-    @property
-    def bytes(self) -> int:
-        return self._bytes
-
     def snapshot(self) -> dict:
-        return {
-            "entries": len(self._mem),
-            "bytes": self._bytes,
-            "evictions": self.evictions,
-            "dirty": self._dirty.qsize(),
-            "disk": getattr(self.disk, "root", None) and str(self.disk.root),
-            "per_replica": {
-                rid: account.snapshot()
-                for rid, account in sorted(self.accounts.items())
-            },
-        }
+        with self._lock:
+            return {
+                "entries": len(self._mem),
+                "bytes": self._bytes,
+                "evictions": self.evictions,
+                "dirty": self._dirty.qsize(),
+                "disk": getattr(self.disk, "root", None)
+                and str(self.disk.root),
+                "per_owner": {
+                    owner: account.snapshot()
+                    for owner, account in sorted(self.accounts.items())
+                },
+            }

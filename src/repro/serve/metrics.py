@@ -1,12 +1,14 @@
 """Service observability: counters, latency histograms, log lines.
 
-One :class:`ServiceMetrics` instance per service. Counters cover the
+One :class:`ServiceMetrics` instance per service, whichever executor
+runs its jobs: this is the only metrics schema. Counters cover the
 whole request lifecycle (submitted → accepted/rejected/coalesced/cached
-→ executed → completed/failed), latency is tracked as three
+→ executed → completed/failed), latency is tracked as
 :class:`~repro.profiling.counters.Histogram` distributions (queue wait,
-execution, end-to-end), and gauges (queue depth, in-flight, worker
-restarts) are read through callbacks so a snapshot always reflects live
-state. ``snapshot()`` is the JSON surface the TCP ``metrics`` op and
+execution, end-to-end, and end-to-end per job class), and gauges
+(queue, in-flight, tenants, the executor and cache-tier sections) are
+read through one callback so a snapshot always reflects live state.
+``snapshot()`` is the JSON surface the TCP ``metrics`` op and
 ``repro-bench submit --metrics`` expose; ``log_line()`` is the periodic
 structured log record.
 """
@@ -32,14 +34,15 @@ class ServiceMetrics:
         self.accepted = 0  # got a queue seat
         self.rejected: dict[str, int] = {}  # reason -> count
         self.coalesced = 0  # attached to an identical in-flight job
-        self.cache_hits = 0
+        self.cache_hits = 0  # memory + disk
+        self.disk_hits = 0  # subset of cache_hits read through at dispatch
         self.cache_misses = 0
-        self.executed = 0  # jobs dispatched to a worker
+        self.executed = 0  # jobs handed to the executor
         self.completed = 0
         self.failed = 0
         self.cancelled = 0
         self.timeouts = 0  # individual attempt timeouts
-        self.retries = 0
+        self.retries = 0  # worker retries, or fleet re-routes
         # Epoch-checkpoint reuse reported back by what-if replay jobs
         # (see repro.sim.whatif): how much simulation the service skipped.
         self.checkpoint_hits = 0
@@ -50,19 +53,25 @@ class ServiceMetrics:
         self.queue_wait = Histogram()
         self.exec_latency = Histogram()
         self.total_latency = Histogram()
-        # Gauge callbacks, wired by the service at start.
-        self.queue_depth_fn: Callable[[], int] = lambda: 0
-        self.queue_by_class_fn: Callable[[], dict] = dict
-        self.inflight_fn: Callable[[], int] = lambda: 0
-        self.worker_restarts_fn: Callable[[], int] = lambda: 0
-        self.workers_fn: Callable[[], int] = lambda: 0
+        self.class_latency: dict[str, Histogram] = {}
+        #: Live sections (``queue``, ``in_flight``, ``tenants``,
+        #: ``executor``, ``cache``), wired by the service at start.
+        self.gauges_fn: Callable[[], dict] = dict
 
     def reject(self, reason: str) -> None:
         self.rejected[reason] = self.rejected.get(reason, 0) + 1
 
+    def record_total(self, job_class: str, seconds: float) -> None:
+        """End-to-end latency of one settled job, overall and by class."""
+        self.total_latency.record(seconds)
+        hist = self.class_latency.get(job_class)
+        if hist is None:
+            hist = self.class_latency[job_class] = Histogram()
+        hist.record(seconds)
+
     def note_checkpoint(self, meta: dict) -> None:
         """Fold one job's checkpoint-store telemetry into the service
-        totals (the scheduler strips it from the job payload)."""
+        totals (the service strips it from the job payload)."""
         self.checkpoint_hits += int(meta.get("hits", 0))
         self.checkpoint_misses += int(meta.get("misses", 0))
         self.checkpoint_stores += int(meta.get("stores", 0))
@@ -92,17 +101,18 @@ class ServiceMetrics:
 
     def snapshot(self) -> dict:
         """JSON-able point-in-time view of the whole service."""
+        live = self.gauges_fn()
+        executor = live.get("executor", {})
         return {
             "uptime_s": round(time.monotonic() - self.started_at, 3),
-            "queue": {
-                "depth": self.queue_depth_fn(),
-                "by_class": self.queue_by_class_fn(),
-            },
-            "in_flight": self.inflight_fn(),
+            "queue": live.get("queue", {"depth": 0, "by_class": {}}),
+            "in_flight": live.get("in_flight", 0),
+            "tenants": live.get("tenants", {}),
             "workers": {
-                "count": self.workers_fn(),
-                "restarts": self.worker_restarts_fn(),
+                "count": executor.get("workers", 0),
+                "restarts": executor.get("restarts", 0),
             },
+            "executor": executor,
             "jobs": {
                 "submitted": self.submitted,
                 "accepted": self.accepted,
@@ -118,8 +128,11 @@ class ServiceMetrics:
             },
             "cache": {
                 "hits": self.cache_hits,
+                "memory_hits": self.cache_hits - self.disk_hits,
+                "disk_hits": self.disk_hits,
                 "misses": self.cache_misses,
                 "hit_ratio": round(self.cache_hit_ratio(), 4),
+                **live.get("cache", {}),
             },
             "checkpoint": {
                 "hits": self.checkpoint_hits,
@@ -132,6 +145,10 @@ class ServiceMetrics:
                 "queue_wait": self.queue_wait.snapshot(),
                 "execution": self.exec_latency.snapshot(),
                 "total": self.total_latency.snapshot(),
+                "by_class": {
+                    cls: hist.snapshot()
+                    for cls, hist in sorted(self.class_latency.items())
+                },
             },
             "rates": {
                 "arrival_rps": round(self.arrival_rate(), 3),

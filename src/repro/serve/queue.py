@@ -27,6 +27,8 @@ REASON_CLASS_LIMIT = "class limit reached"
 REASON_DRAINING = "service draining"
 REASON_UNKNOWN_CLASS = "unknown job class"
 REASON_UNKNOWN_EXPERIMENT = "unknown experiment"
+REASON_TENANT_QUOTA = "tenant quota exceeded"
+REASON_LOAD_SHED = "load shed"
 
 
 class AdmissionError(RuntimeError):
@@ -39,7 +41,7 @@ class AdmissionError(RuntimeError):
 
 
 class QueueClosed(RuntimeError):
-    """``get()`` on a drained-and-empty queue (the scheduler's stop
+    """``get()`` on a drained-and-empty queue (the dispatch loop's stop
     signal)."""
 
 
@@ -48,7 +50,7 @@ class Job:
     """One accepted what-if request (possibly shared by many waiters).
 
     Identical concurrent submissions coalesce onto a single ``Job``: the
-    scheduler keeps one in-flight entry per ``key`` and every duplicate
+    service keeps one in-flight entry per ``key`` and every duplicate
     submission just bumps ``waiters`` and shares ``future``.
     """
 
@@ -56,6 +58,7 @@ class Job:
     kwargs: dict[str, Any]
     key: str
     job_class: str = "batch"
+    tenant: str = "anon"
     timeout: float | None = None
     retries: int = 0
     job_id: str = ""

@@ -4,7 +4,7 @@ A :class:`WorkerProcess` owns one child process running a job loop over
 a pipe; the parent can bound how long it waits for a reply and, on a
 hang or crash, kill and respawn the child without losing the rest of the
 pool. :class:`SupervisedWorkerPool` layers acquisition, retry, and
-restart accounting on top; both the asyncio service scheduler and the
+restart accounting on top; both the service's local executor and the
 synchronous ``run_experiments_parallel(timeout=, retries=)`` path drive
 it (the latter via threads).
 
@@ -91,8 +91,16 @@ def _worker_main(conn, runner_spec: str, sanitize: bool = False) -> None:
         # the environment changes later (and regardless of start method).
         os.environ["REPRO_SANITIZE"] = "1"
     runner = _resolve_runner(runner_spec)
+    parent = os.getppid()
     while True:
         try:
+            # A forked child also holds the parent's end of the pipe, so
+            # recv() never sees EOF if the parent is SIGKILLed (a killed
+            # replica): poll, and exit once orphaned.
+            if not conn.poll(1.0):
+                if os.getppid() != parent:
+                    break
+                continue
             msg = conn.recv()
         except (EOFError, OSError, KeyboardInterrupt):
             break
@@ -219,7 +227,7 @@ class SupervisedWorkerPool:
     """A fixed-size pool of :class:`WorkerProcess` with retry/restart.
 
     Thread-safe: workers are handed out through a queue, so the asyncio
-    scheduler (via ``asyncio.to_thread``) and the parallel runner (via a
+    executor (via ``asyncio.to_thread``) and the parallel runner (via a
     thread pool) can both drive :meth:`run_with_retry` concurrently.
     """
 

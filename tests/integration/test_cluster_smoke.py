@@ -12,13 +12,8 @@ import multiprocessing
 
 import pytest
 
-from repro.cluster import (
-    SYNTHETIC_RUNNER,
-    Gateway,
-    GatewayConfig,
-    TrafficMix,
-    run_traffic,
-)
+from repro.cluster import SYNTHETIC_RUNNER, Fleet, TrafficMix, run_traffic
+from repro.serve import CacheTier, ServiceConfig, SimulationService
 
 pytestmark = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
@@ -38,15 +33,17 @@ MIX = TrafficMix(
 )
 
 
-def make_gateway(n: int) -> Gateway:
-    return Gateway(GatewayConfig(
-        replicas=n,
-        workers_per_replica=2,
-        runner_spec=SYNTHETIC_RUNNER,
-        cache=None,
-        health_interval=0.5,
-        spawn_timeout=120.0,
-    ))
+def make_gateway(n: int) -> SimulationService:
+    return SimulationService(
+        ServiceConfig(
+            capacity=256,
+            shed_batch_above=0.75,
+            runner_spec=SYNTHETIC_RUNNER,
+            cache=CacheTier(),  # memory only
+            metrics_interval=0,
+        ),
+        executor=Fleet(n, workers_per_replica=2, health_interval=0.5),
+    )
 
 
 def test_clean_run_is_exactly_once():
@@ -78,10 +75,10 @@ def test_replica_kill_recovers_without_losing_interactive():
     assert interactive["completed"] + interactive["shed_total"] == (
         interactive["offered"]
     )
-    replicas = report["gateway"]["replicas"]
+    replicas = report["gateway"]["executor"]["replicas"]
     assert all(r["healthy"] for r in replicas.values())
-    # Per-replica shared-cache accounting saw traffic on both members.
-    accounts = report["gateway"]["shared_cache"]["per_replica"]
+    # Per-replica cache accounting saw traffic on both members.
+    accounts = report["gateway"]["cache"]["per_owner"]
     assert accounts and all(
         acct["misses"] + acct["hits"] > 0 for acct in accounts.values()
     )

@@ -11,7 +11,12 @@ across process boundaries.
 import asyncio
 import json
 import multiprocessing
+import os
+import socket
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +30,7 @@ from repro.serve import (
     SimulationService,
     serve_tcp,
 )
+from repro.serve.service import LINE_LIMIT
 
 pytestmark = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
@@ -316,3 +322,90 @@ class TestTcpProtocol:
             await asyncio.wait_for(server, 10)
 
         run(body())
+
+
+#: Wire input that must get an ``{"ok": false, "error": ...}`` reply.
+MALFORMED = {
+    "array": b"[1]",
+    "string": b'"x"',
+    "kwargs-not-object": json.dumps(
+        {"op": "submit", "exp_id": "known", "kwargs": [1, 2]}
+    ).encode(),
+    "exp-id-not-string": json.dumps(
+        {"op": "submit", "exp_id": ["a"]}
+    ).encode(),
+    "line-over-limit": json.dumps(
+        {"op": "ping", "pad": "x" * 70_000}
+    ).encode(),
+}
+
+
+@pytest.mark.parametrize("line", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_wire_input_gets_an_error_reply(line):
+    async def body():
+        service = make_service(
+            workers=1, known_experiments=frozenset({"known"})
+        )
+        await service.start()
+        ready: asyncio.Future = asyncio.get_running_loop().create_future()
+        server = asyncio.ensure_future(serve_tcp(
+            service, "127.0.0.1", 0,
+            on_ready=lambda h, p: ready.set_result(p),
+        ))
+        port = await asyncio.wait_for(ready, 5)
+
+        def session():
+            with socket.create_connection(("127.0.0.1", port), timeout=10) \
+                    as sock, sock.makefile("rwb") as stream:
+                stream.write(line + b"\n")
+                stream.flush()
+                reply = json.loads(stream.readline())
+                assert reply["ok"] is False and reply["error"], reply
+                if len(line) > LINE_LIMIT:
+                    assert stream.readline() == b""  # then closed
+                else:  # and the connection keeps serving
+                    stream.write(b'{"op": "ping"}\n')
+                    stream.flush()
+                    assert json.loads(stream.readline())["ok"]
+            with ServeClient("127.0.0.1", port) as client:
+                assert client.shutdown()["ok"]
+
+        await asyncio.to_thread(session)
+        await asyncio.wait_for(server, 10)
+
+    run(body())
+
+
+def _running(pid: int) -> bool:
+    """Alive and not a zombie (an orphan's reaper may never reap it)."""
+    try:
+        status = Path(f"/proc/{pid}/status").read_text()
+    except OSError:
+        return False
+    return "State:\tZ" not in status
+
+
+@pytest.mark.skipif(
+    not Path("/proc/self/status").exists(), reason="needs /proc"
+)
+def test_worker_exits_when_its_parent_is_killed():
+    """SIGKILL skips the pool's cleanup (a killed replica); the forked
+    worker must notice it was orphaned instead of blocking forever."""
+    parent = subprocess.Popen(
+        [sys.executable, "-c",
+         "import time\n"
+         "from repro.serve.workers import WorkerProcess\n"
+         "print(WorkerProcess().pid, flush=True)\n"
+         "time.sleep(60)\n"],
+        stdout=subprocess.PIPE, text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    with parent.stdout:
+        worker_pid = int(parent.stdout.readline())
+    assert _running(worker_pid)
+    parent.kill()
+    parent.wait(10)
+    deadline = time.monotonic() + 10
+    while _running(worker_pid):
+        assert time.monotonic() < deadline, "orphaned worker kept running"
+        time.sleep(0.05)
