@@ -3,6 +3,8 @@
 Covers the layers the interval-list PageSet overhaul and the batched
 epoch executor target:
 
+* ``PageSet.of`` on a fig11-shaped gather, against the seed's
+  ``np.unique`` dedup;
 * symbolic set algebra at paper scale (two million 64 KB pages = the
   128 GB statevector of the 34-qubit Quantum Volume run) — including a
   head-to-head against the seed implementation of the range-split
@@ -46,8 +48,15 @@ RESULTS: dict = {"n_pages": N_PAGES, "benchmarks": {}}
 #: batched executor PR claims stays version-controlled next to the
 #: microbenchmarks that explain it. ``seed_seconds`` is the same command
 #: at the seed commit, before the batched eviction/epoch executor and
-#: the residency-run cache landed.
+#: the residency-run cache landed; for ``fig11`` it is the commit before
+#: ``PageSet.of`` dropped ``np.unique`` (median of 4 alternating pairs on
+#: a 2-vCPU VM).
 RESULTS["full_scale"] = {
+    "fig11": {
+        "seed_seconds": 36.9,
+        "seconds": 13.4,
+        "speedup_vs_seed": 2.8,
+    },
     "fig12": {
         "seed_seconds": 51.3,
         "seconds": 3.7,
@@ -74,7 +83,9 @@ def _record(name: str, seconds: float, **extra) -> None:
 def export_results():
     yield
     path = Path(__file__).resolve().parent.parent / "BENCH_hotpath.json"
-    path.write_text(json.dumps(RESULTS, indent=2) + "\n")
+    # Keep the sections other benchmarks own (the ``cluster`` headlines).
+    existing = json.loads(path.read_text()) if path.exists() else {}
+    path.write_text(json.dumps({**existing, **RESULTS}, indent=2) + "\n")
 
 
 def _seed_difference(a: PageSet, b: PageSet) -> PageSet:
@@ -151,6 +162,39 @@ class TestPageSetAlgebra:
             "from_mask_chunky",
             _best(lambda: PageSet.from_mask(state == 1), number=10),
         )
+
+
+def _seed_of(indices: np.ndarray) -> PageSet:
+    """The seed ``PageSet.of``: dedup through ``np.unique``. Kept inline
+    as the baseline the mask dedup is measured against."""
+    return PageSet._from_sorted(np.unique(np.asarray(indices, dtype=np.int64)))
+
+
+class TestPageSetOf:
+    #: The shape of fig11's largest gather at scale 0.25: a million
+    #: uniform page indices over a 262k-page (4 KB pages) allocation.
+    N_INDICES = 1_000_000
+    DOMAIN_PAGES = 262_144
+
+    def test_pageset_of_gather_speedup_vs_seed(self, benchmark):
+        rng = np.random.default_rng(11)
+        idx = rng.integers(0, self.DOMAIN_PAGES, size=self.N_INDICES)
+        out = PageSet.of(idx)
+        want = _seed_of(idx)
+        assert out.index is not None and np.array_equal(out.index, want.index)
+        new_t = _best(lambda: PageSet.of(idx), number=5)
+        seed_t = _best(lambda: _seed_of(idx), number=2)
+        speedup = seed_t / new_t
+        _record(
+            "pageset_of_gather",
+            new_t,
+            seed_seconds=seed_t,
+            indices=self.N_INDICES,
+            domain_pages=self.DOMAIN_PAGES,
+            speedup_vs_seed=round(speedup, 1),
+        )
+        benchmark.pedantic(lambda: PageSet.of(idx), rounds=5, iterations=2)
+        assert speedup >= 5.0, f"only {speedup:.1f}x over the seed"
 
 
 class TestSubsystemDispatch:

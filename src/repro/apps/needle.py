@@ -124,16 +124,16 @@ class Needle(Application):
         i = np.arange(max(0, d - nblocks + 1), min(nblocks, d + 1))
         j = d - i
         cols = self.n + 1
-        chunks = []
-        for bi, bj in zip(i.tolist(), j.tolist()):
-            r0, r1 = bi * self.block, min((bi + 1) * self.block, cols)
-            c0, c1 = bj * self.block, min((bj + 1) * self.block, cols)
-            r = np.arange(r0, r1, dtype=np.int64)
-            first = (r * cols + c0) * 4 // arr.page_size
-            last = (r * cols + (c1 - 1)) * 4 // arr.page_size
-            chunks.append(first)
-            chunks.append(last)
-        pages = np.unique(np.concatenate(chunks))
+        # Row numbers as a (blocks in the wave) x (rows in a block) grid.
+        # The last block row can run past the matrix; its extra rows are
+        # masked out. PageSet.of deduplicates.
+        rows = i[:, None] * self.block + np.arange(self.block)
+        in_matrix = rows < cols
+        c0 = j * self.block
+        c1 = np.minimum(c0 + self.block, cols)
+        first = (rows * cols + c0[:, None]) * 4 // arr.page_size
+        last = (rows * cols + (c1 - 1)[:, None]) * 4 // arr.page_size
+        pages = np.concatenate((first[in_matrix], last[in_matrix]))
         return PageSet.of(pages[pages < arr.n_pages])
 
     def compute(self, gh: GraceHopperSystem, mode: MemoryMode, result: AppResult):

@@ -26,6 +26,14 @@ re-symbolised automatically: any operation that would produce at most
 
 Index arrays are always ``int64``, sorted, and duplicate-free, which the
 property-based tests in ``tests/property`` enforce as an invariant.
+
+:meth:`PageSet.of` sorts and deduplicates arbitrary gathers without
+``np.unique``. When the input's ``[min, max]`` span is at most
+:data:`MAX_MASK_SPAN_PER_INDEX` times its length, it marks the pages in a
+boolean mask over that span and reads them back with ``flatnonzero`` —
+O(span), no sort. Sparser inputs are sorted and adjacent duplicates
+dropped. Both paths give the same set in the same representation; the
+choice depends only on the input.
 """
 
 from __future__ import annotations
@@ -38,6 +46,11 @@ import numpy as np
 #: interval lists; beyond it the index-array representation is denser and
 #: the O(runs) python-level bookkeeping stops paying for itself.
 MAX_SYMBOLIC_RUNS = 64
+
+#: :meth:`PageSet.of` dedups through a one-byte-per-page mask while the
+#: input's span is at most this many times its index count, so the mask
+#: is at most 8x the bytes of the int64 input; sparser inputs sort.
+MAX_MASK_SPAN_PER_INDEX = 64
 
 
 @dataclass(frozen=True)
@@ -77,12 +90,18 @@ class PageSet:
     @staticmethod
     def of(indices: np.ndarray | list[int]) -> "PageSet":
         """Build from arbitrary indices (sorted and deduplicated here)."""
-        idx = np.unique(np.asarray(indices, dtype=np.int64))
+        idx = np.asarray(indices, dtype=np.int64).ravel()
         if idx.size == 0:
             return PageSet.empty()
-        if idx[0] < 0:
+        lo = int(idx.min())
+        if lo < 0:
             raise ValueError("page indices must be non-negative")
-        return PageSet._from_sorted(idx)
+        span = int(idx.max()) - lo + 1
+        if span <= MAX_MASK_SPAN_PER_INDEX * idx.size:
+            mask = np.zeros(span, dtype=bool)
+            mask[idx - lo] = True
+            return PageSet._from_sorted(np.flatnonzero(mask) + lo)
+        return PageSet._from_sorted(_drop_adjacent_duplicates(np.sort(idx)))
 
     @staticmethod
     def strided(start: int, stop: int, step: int) -> "PageSet":
@@ -495,8 +514,10 @@ class PageSet:
             lo = self.start // g
             hi = (self.stop - 1) // g
             return np.arange(lo, hi + 1, dtype=np.int64)
+        # Runs and indices are ascending, so their block ids are
+        # non-decreasing and adjacent compare is a full dedup.
         if self.runs is not None:
-            return np.unique(
+            return _drop_adjacent_duplicates(
                 np.concatenate(
                     [
                         np.arange(lo // g, (hi - 1) // g + 1, dtype=np.int64)
@@ -508,7 +529,7 @@ class PageSet:
             return np.arange(
                 self.start // g, (self.stop - 1) // g + 1, dtype=np.int64
             )
-        return np.unique(self.indices() // g)
+        return _drop_adjacent_duplicates(self.indices() // g)
 
     def clip(self, n_pages: int) -> "PageSet":
         """Restrict to valid page numbers of an ``n_pages`` allocation."""
@@ -527,6 +548,15 @@ class PageSet:
                 f"[{self.start}, {self.stop}))"
             )
         return f"PageSet({self.count} pages in [{self.start}, {self.stop}))"
+
+
+def _drop_adjacent_duplicates(sorted_idx: np.ndarray) -> np.ndarray:
+    """``sorted_idx`` without repeats (a copy); the input must be
+    non-decreasing."""
+    keep = np.empty(sorted_idx.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(sorted_idx[1:], sorted_idx[:-1], out=keep[1:])
+    return sorted_idx[keep]
 
 
 def _mask_to_bounds(

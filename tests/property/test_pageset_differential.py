@@ -7,14 +7,16 @@ must agree exactly. Unlike the single-op tests in
 representation transitions (range -> runs -> strided -> indices), the
 interval-list overflow past :data:`MAX_SYMBOLIC_RUNS`, and the block
 algebra (``align_down`` / ``blocks``) the managed-memory model relies
-on.
+on. ``PageSet.of`` is also checked against an ``np.unique`` reference on
+both sides of its mask/sort density limit, representation included.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.mem.pageset import MAX_SYMBOLIC_RUNS, PageSet
+from repro.mem.pageset import MAX_MASK_SPAN_PER_INDEX, MAX_SYMBOLIC_RUNS, PageSet
 
 MAX_PAGE = 1 << 12
 
@@ -148,3 +150,114 @@ def test_overflowed_union_degrades_without_data_loss():
         ref = ref | {lo}
     assert oracle(ps) == ref
     assert ps.count == len(ref)
+
+
+# -- PageSet.of dedup vs np.unique -------------------------------------------
+
+
+def unique_reference(x) -> PageSet:
+    """Reference ``PageSet.of``: sort and dedup through ``np.unique``."""
+    return PageSet._from_sorted(np.unique(np.asarray(x, dtype=np.int64)))
+
+
+def assert_same_representation(got: PageSet, want: PageSet) -> None:
+    assert (got.start, got.stop, got.step) == (want.start, want.stop, want.step)
+    assert got.runs == want.runs
+    if want.index is None:
+        assert got.index is None
+    else:
+        assert got.index.dtype == np.int64
+        assert np.array_equal(got.index, want.index)
+
+
+@st.composite
+def gathers(draw, span_kind):
+    """Index arrays whose ``[min, max]`` span relative to their length
+    puts them on a chosen side of :data:`MAX_MASK_SPAN_PER_INDEX`."""
+    limit = MAX_MASK_SPAN_PER_INDEX
+    n = draw(st.integers(2, 400))
+    if span_kind == "dense":
+        span = draw(st.integers(1, limit * n))
+    elif span_kind == "sparse":
+        span = draw(st.integers(limit * n + 1, 50 * limit * n))
+    elif span_kind == "at_limit":
+        span = limit * n
+    else:  # one past the limit
+        span = limit * n + 1
+    lo = draw(st.integers(0, 1 << 24))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        # Duplicate-heavy: every index from a handful of distinct pages.
+        pool = rng.integers(lo, lo + span, size=draw(st.integers(1, 8)))
+        body = rng.choice(pool, size=n - 2)
+    else:
+        body = rng.integers(lo, lo + span, size=n - 2)
+    x = np.concatenate(([lo, lo + span - 1], body)).astype(np.int64)
+    if draw(st.booleans()):
+        x = rng.permutation(x)
+    else:
+        x.sort()
+    if n % 2 == 0 and draw(st.booleans()):
+        x = x.reshape(2, n // 2)
+    return x
+
+
+@settings(max_examples=60)
+@given(
+    st.one_of(
+        gathers("dense"),
+        gathers("sparse"),
+        gathers("at_limit"),
+        gathers("past_limit"),
+    )
+)
+def test_of_matches_unique_reference_representation(x):
+    assert_same_representation(PageSet.of(x), unique_reference(x))
+
+
+def test_of_dedup_path_switches_exactly_past_the_span_limit(monkeypatch):
+    """Spans up to ``MAX_MASK_SPAN_PER_INDEX`` x the index count take the
+    mask; one page more takes the sort."""
+    import repro.mem.pageset as pageset_mod
+
+    sorted_calls = []
+    real = pageset_mod._drop_adjacent_duplicates
+
+    def spy(a):
+        sorted_calls.append(a.size)
+        return real(a)
+
+    monkeypatch.setattr(pageset_mod, "_drop_adjacent_duplicates", spy)
+    n = 10
+    limit = MAX_MASK_SPAN_PER_INDEX * n
+    at_limit = np.linspace(7, 7 + limit - 1, n).astype(np.int64)[::-1]
+    past_limit = np.linspace(7, 7 + limit, n).astype(np.int64)[::-1]
+
+    got = PageSet.of(at_limit)
+    assert sorted_calls == []
+    assert_same_representation(got, unique_reference(at_limit))
+
+    got = PageSet.of(past_limit)
+    assert sorted_calls == [n]
+    assert_same_representation(got, unique_reference(past_limit))
+
+
+@pytest.mark.parametrize(
+    "x",
+    [[], np.empty(0, dtype=np.int64), np.empty((0, 3), dtype=np.int32)],
+)
+def test_of_empty_input_is_empty(x):
+    assert PageSet.of(x) == PageSet.empty()
+
+
+@pytest.mark.parametrize(
+    "x",
+    [
+        [-1, 0, 1, 2],  # dense: mask path
+        [5, -1, 10**6],  # sparse: sort path
+        np.array([[3, 4], [-2, 4]]),
+    ],
+)
+def test_of_rejects_negative_indices(x):
+    with pytest.raises(ValueError, match="non-negative"):
+        PageSet.of(x)

@@ -5,6 +5,8 @@ three memory modes and verifies its result against an independent
 reference implementation — the functional half of the reproduction.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -12,12 +14,14 @@ from repro.apps import application_names, applications_table, get_application
 from repro.apps.bfs import bfs_reference, build_random_csr
 from repro.apps.hotspot import stencil_reference
 from repro.apps.needle import (
+    Needle,
     needleman_wunsch_antidiagonal,
     needleman_wunsch_reference,
 )
 from repro.apps.pathfinder import pathfinder_reference
 from repro.core.porting import MemoryMode
 from repro.core.runtime import GraceHopperSystem
+from repro.mem.pageset import PageSet
 from repro.sim.config import SystemConfig
 
 SMALL = {
@@ -116,6 +120,53 @@ class TestReferences:
         wall = np.ones((10, 8), dtype=np.int32)
         dist = pathfinder_reference(wall)
         assert (dist == 10).all()  # all-ones grid: cost = number of rows
+
+
+def _needle_wave_pages_loop(app, arr, d: int, nblocks: int) -> PageSet:
+    """Per-block loop reference for ``Needle._diagonal_pages``: each
+    block's first and last page in each of its rows, deduplicated."""
+    i = np.arange(max(0, d - nblocks + 1), min(nblocks, d + 1))
+    j = d - i
+    cols = app.n + 1
+    chunks = []
+    for bi, bj in zip(i.tolist(), j.tolist()):
+        r0, r1 = bi * app.block, min((bi + 1) * app.block, cols)
+        c0, c1 = bj * app.block, min((bj + 1) * app.block, cols)
+        r = np.arange(r0, r1, dtype=np.int64)
+        chunks.append((r * cols + c0) * 4 // arr.page_size)
+        chunks.append((r * cols + (c1 - 1)) * 4 // arr.page_size)
+    pages = np.unique(np.concatenate(chunks))
+    return PageSet.of(pages[pages < arr.n_pages])
+
+
+class TestNeedleWaves:
+    @pytest.mark.parametrize("page_size", [4096, 65536])
+    @pytest.mark.parametrize(
+        "n, block",
+        [
+            (1000, 64),  # n + 1 = 1001 leaves a partial last block row
+            (1023, 64),  # n + 1 = 1024 fills every block row
+            (299, 16),
+        ],
+    )
+    def test_vectorised_wave_matches_block_loop(self, n, block, page_size):
+        app = Needle(block=block)
+        app.n, app.block = n, block
+        nbytes = (n + 1) * (n + 1) * 4
+        arr = SimpleNamespace(
+            page_size=page_size, n_pages=-(-nbytes // page_size)
+        )
+        nblocks = -(-n // block)
+        for d in (0, 1, nblocks - 1, nblocks, 2 * nblocks - 2):
+            got = app._diagonal_pages(arr, d, nblocks)
+            want = _needle_wave_pages_loop(app, arr, d, nblocks)
+            assert (got.start, got.stop, got.step, got.runs) == (
+                want.start, want.stop, want.step, want.runs
+            ), f"wave {d}"
+            if want.index is None:
+                assert got.index is None
+            else:
+                assert np.array_equal(got.index, want.index), f"wave {d}"
 
 
 class TestPhaseProtocol:
