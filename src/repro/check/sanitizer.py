@@ -236,7 +236,7 @@ class MemSanitizer(MemObserver):
                 details={"sum": int(fresh.sum()), "n_pages": alloc.n_pages},
             )
         fresh_blocks = np.bincount(
-            np.flatnonzero(state == Location.GPU) // alloc.block_pages,
+            np.flatnonzero(state == int(Location.GPU)) // alloc.block_pages,
             minlength=alloc.n_blocks,
         )
         if not np.array_equal(fresh_blocks, alloc._gpu_block_counts):

@@ -16,7 +16,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from ..sim.config import Processor, SystemConfig
+
+
+def ordered_sum(start: float, terms: np.ndarray) -> float:
+    """``start + terms[0] + terms[1] + ...``, added strictly left to right.
+
+    ``np.add.accumulate`` is a sequential left fold, so the result is
+    bit-identical to the same additions done one by one in a Python
+    loop. ``np.sum`` adds pairwise and would round differently.
+    """
+    return float(np.add.accumulate(np.concatenate(([start], terms)))[-1])
 
 
 @dataclass
@@ -87,10 +99,44 @@ class NvlinkC2C:
         """Time for a streaming (DMA/migration) transfer of ``nbytes``."""
         if nbytes <= 0:
             return 0.0
-        bw = self.config.c2c_bandwidth(src, dst)
-        t = nbytes / bw + self.config.c2c_latency
+        t = self._streaming_seconds(nbytes, src, dst)
         self._account(nbytes, src, t, "dma")
         return t
+
+    def streaming_time_batch(
+        self, nbytes: np.ndarray, src: Processor, dst: Processor
+    ) -> np.ndarray:
+        """Per-transfer times of a run of streaming transfers, charged
+        as if :meth:`streaming_time` were called on each in order.
+
+        ``nbytes`` is an int64 array of byte counts, all positive. The
+        times and every ledger match the per-transfer calls bit for bit.
+        """
+        seconds = self._streaming_seconds(nbytes, src, dst)
+        total = int(nbytes.sum())
+        if src is Processor.CPU:
+            self.stats.h2d_bytes += total
+            self.stats.h2d_seconds = ordered_sum(self.stats.h2d_seconds, seconds)
+            by = self.stats.h2d_by_class
+        else:
+            self.stats.d2h_bytes += total
+            self.stats.d2h_seconds = ordered_sum(self.stats.d2h_seconds, seconds)
+            by = self.stats.d2h_by_class
+        by["dma"] = by.get("dma", 0) + total
+        if self.timeline is not None:
+            start = self.timeline.now()
+            direction = "h2d" if src is Processor.CPU else "d2h"
+            for n, t in zip(nbytes.tolist(), seconds.tolist()):
+                self.timeline.complete(
+                    "c2c:dma", start, t, cat="fabric", track="fabric/c2c",
+                    bytes=n, direction=direction,
+                )
+        return seconds
+
+    def _streaming_seconds(self, nbytes, src: Processor, dst: Processor):
+        """Streaming transfer time, for a byte count or an array of them
+        (elementwise, the same IEEE operations either way)."""
+        return nbytes / self.config.c2c_bandwidth(src, dst) + self.config.c2c_latency
 
     def remote_access_time(
         self,

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..interconnect.nvlink import NvlinkC2C
+from ..interconnect.nvlink import NvlinkC2C, ordered_sum
 from ..profiling.counters import HardwareCounters
 from ..sim.config import Location, Processor, SystemConfig
 from .coherence import AccessShape, CoherenceFabric
@@ -147,17 +147,19 @@ class ManagedMemoryManager:
         blocks, counts, owner = blocks[:n_sel], counts[:n_sel], owner[:n_sel]
         freed = int(cum[n_sel - 1]) if n_sel else 0
         # Simulated time (and the link's float ledgers) must match the
-        # per-block loop bit for bit: floats are accumulated by the same
-        # per-block call sequence, in the same global LRU order. Only the
-        # page-state writes and integer accounting are batched per
-        # allocation below.
-        for i in range(n_sel):
-            t = self.link.streaming_time(
-                int(nbytes_each[i]), Processor.GPU, Processor.CPU
+        # reference executor's per-block loop, ``seconds += t / fraction;
+        # seconds += shootdown`` in global LRU order, bit for bit: the
+        # batch calls compute the same per-block terms, and the
+        # interleaved terms are folded left to right (``ordered_sum``).
+        if n_sel:
+            t = self.link.streaming_time_batch(
+                nbytes_each[:n_sel], Processor.GPU, Processor.CPU
             )
-            seconds += t / self.config.eviction_bandwidth_fraction
-            seconds += self.tlbs.gpu.shootdown(int(counts[i]))
-        for ai in np.unique(owner):
+            terms = np.empty(2 * n_sel)
+            terms[0::2] = t / self.config.eviction_bandwidth_fraction
+            terms[1::2] = self.tlbs.gpu.shootdown_batch(counts)
+            seconds = ordered_sum(0.0, terms)
+        for ai in np.flatnonzero(np.bincount(owner, minlength=len(allocs))):
             alloc = allocs[ai]
             sel = blocks[owner == ai]
             gpu_pages = alloc.subset(alloc.block_pageset(sel), Location.GPU)

@@ -464,14 +464,18 @@ class PageSet:
             state[self.start : self.stop] += value
 
     def where(self, state: np.ndarray, value) -> "PageSet":
-        """Subset of these pages whose ``state`` equals ``value``."""
-        mask = self.view(state) == value
+        """Subset of these pages whose ``state`` equals ``value``.
+
+        ``value`` is compared as a plain int: an ``IntEnum`` operand
+        would promote an ``int8`` state to int64 first.
+        """
+        mask = self.view(state) == int(value)
         if mask.all():
             return self
         return self.select(mask)
 
     def count_where(self, state: np.ndarray, value) -> int:
-        return int(np.count_nonzero(self.view(state) == value))
+        return int(np.count_nonzero(self.view(state) == int(value)))
 
     # -- misc ------------------------------------------------------------------
 

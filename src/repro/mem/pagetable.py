@@ -30,6 +30,15 @@ import numpy as np
 from ..sim.config import Location, Processor, SystemConfig
 from .pageset import PageSet
 
+#: :meth:`Allocation.split_counts` counts a residency view of at least
+#: this many pages with one ``count_nonzero(view == loc)`` pass per
+#: location, in ``int8``. Smaller views go through ``np.bincount``: it
+#: casts the view to int64 first, but its per-call overhead is lower.
+#: Measured crossover (2-vCPU x86 VM, numpy 2.4, five locations): between
+#: 4k and 6k pages; 3.5 us vs 12 us at 1k, 121 us vs 39 us at 64k, and
+#: 47 ms vs 7.6 ms at 9M pages.
+SPLIT_COUNTS_COMPARE_MIN_PAGES = 4096
+
 
 class AllocKind(Enum):
     """Table 1 of the paper: the memory-management types."""
@@ -295,11 +304,18 @@ class Allocation:
         return self.pages_at(loc) == self.n_pages
 
     def split_counts(self, pages: PageSet) -> np.ndarray:
-        """Page counts of ``pages`` per :class:`Location` (len-4 array)."""
+        """Page counts of ``pages`` per :class:`Location` (int64 array
+        indexed by location)."""
         if pages.covers_all(self.n_pages):
             return self._loc_counts.copy()
-        counts = np.bincount(pages.view(self.state), minlength=len(Location))
-        return counts.astype(np.int64)
+        view = pages.view(self.state)
+        if view.size < SPLIT_COUNTS_COMPARE_MIN_PAGES:
+            counts = np.bincount(view, minlength=len(Location))
+            return counts.astype(np.int64, copy=False)
+        return np.array(
+            [np.count_nonzero(view == int(loc)) for loc in Location],
+            dtype=np.int64,
+        )
 
     def _residency_runs(self) -> tuple:
         """``(starts, stops, values)`` of ``state``'s maximal constant
@@ -327,7 +343,7 @@ class Allocation:
             # are exactly the maximal runs ``from_mask(state == loc)``
             # would find — same PageSet, no per-query state scan.
             starts, stops, values = self._residency_runs()
-            sel = values == loc
+            sel = values == int(loc)
             return PageSet._from_bounds(starts[sel], stops[sel])
         return pages.where(self.state, loc)
 

@@ -14,7 +14,9 @@ give 16x the TLB reach of 4 KB pages for the same allocation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+import numpy as np
 
 from ..sim.config import Processor, SystemConfig
 
@@ -50,6 +52,17 @@ class Tlb:
         """
         self.stats.shootdowns += 1
         self.stats.shootdown_pages += n_pages
+        return self._shootdown_cost(n_pages)
+
+    def shootdown_batch(self, n_pages: np.ndarray) -> np.ndarray:
+        """One :meth:`shootdown` per entry of the int64 array ``n_pages``;
+        returns the per-shootdown costs."""
+        self.stats.shootdowns += int(n_pages.size)
+        self.stats.shootdown_pages += int(n_pages.sum())
+        return self._shootdown_cost(n_pages)
+
+    def _shootdown_cost(self, n_pages):
+        """Cost of invalidating ``n_pages`` entries (scalar or elementwise)."""
         return self.config.tlb_shootdown_cost + n_pages * 1e-9
 
 
