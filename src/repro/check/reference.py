@@ -229,7 +229,7 @@ class _RefAlloc:
 
 
 class _Out:
-    """Mutable cost accumulator mirroring AccessResult/ManagedOutcome."""
+    """Mutable cost accumulator mirroring AccessResult."""
 
     def __init__(self):
         self.fault_seconds = 0.0

@@ -20,7 +20,9 @@ the verification harness.
 * the **access economics** (:meth:`~MemoryArchitecture.system_access`,
   :meth:`~MemoryArchitecture.managed_access`,
   :meth:`~MemoryArchitecture.pinned_access`) — which counters and
-  bandwidth rooflines an access batch charges.
+  bandwidth rooflines an access batch charges, built from the shared
+  :meth:`~MemoryArchitecture.charge_local` and
+  :meth:`~MemoryArchitecture.charge_far` rules.
 
 Backends register under a short name (``@register_architecture``) and
 are selected per run via :attr:`repro.sim.config.SystemConfig.mem_arch`.
@@ -32,7 +34,42 @@ Hypothesis property suites under ``tests/``).
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from ..sim.config import Location, Processor
+from .pageset import PageSet
+from .pagetable import AllocKind
+from .physical import PhysicalMemory
+
+
+@dataclass
+class AccessResult:
+    """Cost and traffic of one access batch, for the kernel cost model."""
+
+    fault_seconds: float = 0.0
+    remote_seconds: float = 0.0
+    transfer_seconds: float = 0.0
+    hbm_bytes: int = 0
+    lpddr_bytes: int = 0
+    remote_bytes: int = 0
+    consumed_bytes: int = 0
+
+    def merge(self, other: "AccessResult") -> "AccessResult":
+        self.fault_seconds += other.fault_seconds
+        self.remote_seconds += other.remote_seconds
+        self.transfer_seconds += other.transfer_seconds
+        self.hbm_bytes += other.hbm_bytes
+        self.lpddr_bytes += other.lpddr_bytes
+        self.remote_bytes += other.remote_bytes
+        self.consumed_bytes += other.consumed_bytes
+        return self
+
+
+def record_gpu_accesses(mem, alloc, pages, wire: int, n_pages: int) -> None:
+    """Feed a GPU's remote cacheline traffic to the migrator's access
+    counters (``wire`` bytes spread evenly over ``n_pages`` pages)."""
+    per_page = (wire // max(n_pages, 1)) // mem.config.cacheline_bytes_gpu
+    mem.migrator.record_gpu_accesses(alloc, pages, max(1, per_page))
 
 
 class MemoryArchitecture:
@@ -47,6 +84,11 @@ class MemoryArchitecture:
     Hooks service first-touch faults through ``mem.first_touch`` and
     report every migration/eviction counter bump with
     :func:`~repro.mem.observer.emit_move`, so observers see them.
+
+    The hooks with a body here are defaults for the split-pool layout
+    (GH200 and SVM); :meth:`charge_local` and :meth:`charge_far` are the
+    one copy of the local and peer-chip charging rules every access path
+    shares, the batched fast path included.
     """
 
     #: Registry key and the name ``SystemConfig.mem_arch`` selects.
@@ -57,8 +99,9 @@ class MemoryArchitecture:
     # -- construction hooks ------------------------------------------------
 
     def make_physical(self, config):
-        """Build the physical pool layout (page-table capacity source)."""
-        raise NotImplementedError
+        """Build the physical pool layout (page-table capacity source):
+        by default an LPDDR5X pool and an HBM3 pool."""
+        return PhysicalMemory(config)
 
     def make_fault_handler(self, config, physical, smmu, counters):
         """Build the first-touch fault path."""
@@ -72,9 +115,53 @@ class MemoryArchitecture:
 
     def local_location(self, processor: Processor) -> Location:
         """The residency state the batched fast path treats as local for
-        ``processor`` (homogeneous allocations short-circuit to pure
-        byte/counter arithmetic against this location)."""
-        raise NotImplementedError
+        ``processor`` (homogeneous allocations short-circuit to
+        :meth:`charge_local` against this location)."""
+        return Location.GPU if processor is Processor.GPU else Location.CPU
+
+    def charge_local(
+        self, counters, processor, alloc, pages, local_bytes, write, res,
+        now=None,
+    ) -> None:
+        """Charge ``local_bytes`` of ``processor``-local traffic to ``res``.
+
+        The one place that picks the ``hbm_*`` (GPU-issued) or
+        ``lpddr_*`` (CPU-issued) counter, tallies a ``SYSTEM``
+        allocation's local bytes, and, given ``now``, marks a managed
+        allocation's ``pages`` GPU-touched at ``now`` for LRU eviction.
+        """
+        kind = alloc.kind
+        if processor is Processor.GPU:
+            res.hbm_bytes += local_bytes
+            counters.bump(
+                **{("hbm_write_bytes" if write else "hbm_read_bytes"): local_bytes}
+            )
+            if now is not None and kind is AllocKind.MANAGED:
+                alloc.touch_blocks(pages, now)
+        else:
+            res.lpddr_bytes += local_bytes
+            counters.bump(
+                **{("lpddr_write_bytes" if write else "lpddr_read_bytes"): local_bytes}
+            )
+        if kind is AllocKind.SYSTEM:
+            if write:
+                alloc.stats.local_write_bytes += local_bytes
+            else:
+                alloc.stats.local_read_bytes += local_bytes
+
+    def charge_far(self, mem, processor, alloc, pages, shape, n_far, res) -> None:
+        """Charge ``n_far`` pages resident on a *peer superchip*:
+        cacheline-grain access over the inter-chip fabric (multi-hop,
+        derated). GPU accesses feed the migrator's access counters."""
+        if not n_far or mem.fabric_port is None:
+            return
+        wire = mem.fabric.remote_traffic(processor, shape, n_far)
+        res.remote_bytes += wire
+        res.remote_seconds += mem.fabric_port.remote_access(wire, alloc, processor)
+        if processor is Processor.GPU:
+            record_gpu_accesses(
+                mem, alloc, alloc.subset(pages, Location.REMOTE), wire, n_far
+            )
 
     def system_access(self, mem, processor, alloc, pages, shape, write):
         """One access batch against a ``malloc`` allocation."""
@@ -85,13 +172,20 @@ class MemoryArchitecture:
         raise NotImplementedError
 
     def pinned_access(self, mem, processor, alloc, pages, shape, write):
-        """One access batch against host-pinned / NUMA-bound memory."""
-        raise NotImplementedError
+        """One access batch against host-pinned / NUMA-bound memory. By
+        default every page is local to the accessor: true of the CPU on
+        every backend, and of the GPU where one pool backs both."""
+        res = AccessResult()
+        self.charge_local(
+            mem.counters, processor, alloc, pages,
+            shape.useful_bytes * pages.count, write, res,
+        )
+        return res
 
     def host_register(self, mem, alloc) -> float:
         """``cudaHostRegister``: bulk PTE population outside the fault
         path. Returns the population time."""
-        raise NotImplementedError
+        return mem.faults.prepopulate(alloc, PageSet.full(alloc.n_pages))
 
     def prefetch_async(self, mem, alloc, pages, now) -> float:
         """``cudaMemPrefetchAsync`` toward the GPU. Returns the transfer
@@ -101,10 +195,10 @@ class MemoryArchitecture:
 
     def oversubscription_reference_free(self, mem) -> int:
         """Free bytes of the GPU-sized *reference tier* oversubscription
-        ratios are quoted against. On GH200 this is literal HBM free
-        space; a single-pool design reports the notional GPU-share so
+        ratios are quoted against. By default literal HBM free space; a
+        single-pool design reports the notional GPU-share so
         cross-architecture oversubscription ratios stay comparable."""
-        raise NotImplementedError
+        return mem.physical.gpu.free
 
 
 #: name -> backend class. Populated by :func:`register_architecture`.

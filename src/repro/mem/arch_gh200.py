@@ -1,26 +1,25 @@
 """The GH200 memory-architecture backend (the paper's design point).
 
-This is the behaviour the whole of :mod:`repro.mem` was originally
-built around, extracted behind :class:`~repro.mem.arch.MemoryArchitecture`
-so alternative designs can slot in beside it: two NUMA pools (LPDDR5X +
-HBM3) with a driver baseline on the GPU side, accessor-side first-touch
-placement through the SMMU with CPU spill, access-counter delayed
-migration over NVLink-C2C for system memory, and the UVM on-demand
-migrate/evict/remote-map machinery for managed memory.
-
-Every hook delegates verbatim to the pre-existing subsystem components —
-this module adds dispatch, not behaviour — so the 22 golden fingerprints
-recorded before the refactor remain byte-identical under it.
+Two NUMA pools (LPDDR5X + HBM3) with a driver baseline on the GPU side,
+accessor-side first-touch placement through the SMMU with CPU spill,
+cacheline-granularity remote access over NVLink-C2C with access-counter
+delayed migration for system memory (Sections 2.1-2.2), and the UVM
+on-demand migrate/evict/remote-map machinery of
+:class:`~repro.mem.managed.ManagedMemoryManager` for managed memory
+(Section 2.3).
 """
 
 from __future__ import annotations
 
 from ..sim.config import Location, Processor
-from .arch import MemoryArchitecture, register_architecture
+from .arch import (
+    AccessResult,
+    MemoryArchitecture,
+    record_gpu_accesses,
+    register_architecture,
+)
 from .faults import FaultHandler
 from .migration import AccessCounterMigrator
-from .pageset import PageSet
-from .physical import PhysicalMemory
 
 
 @register_architecture
@@ -36,9 +35,6 @@ class GH200Architecture(MemoryArchitecture):
 
     # -- construction ------------------------------------------------------
 
-    def make_physical(self, config):
-        return PhysicalMemory(config)
-
     def make_fault_handler(self, config, physical, smmu, counters):
         return FaultHandler(config, physical, smmu, counters)
 
@@ -47,28 +43,69 @@ class GH200Architecture(MemoryArchitecture):
 
     # -- access paths ------------------------------------------------------
 
-    def local_location(self, processor: Processor) -> Location:
-        return Location.GPU if processor is Processor.GPU else Location.CPU
-
     def system_access(self, mem, processor, alloc, pages, shape, write):
-        return mem._system_access(processor, alloc, pages, shape, write)
+        res = AccessResult()
+        unmapped = alloc.subset(pages, Location.UNMAPPED)
+        if unmapped:
+            res.fault_seconds += mem.first_touch(alloc, unmapped, processor)
+
+        counts = alloc.split_counts(pages)
+        on_gpu = processor is Processor.GPU
+        local_loc = Location.GPU if on_gpu else Location.CPU
+        remote_loc = Location.CPU if on_gpu else Location.GPU
+        n_local = int(counts[local_loc])
+        n_remote = int(counts[remote_loc])
+        # Remote-pinned pages are CPU-resident: remote to the GPU.
+        if on_gpu:
+            n_remote += int(counts[Location.CPU_PINNED])
+        else:
+            n_local += int(counts[Location.CPU_PINNED])
+        self.charge_local(
+            mem.counters, processor, alloc, pages,
+            shape.useful_bytes * n_local, write, res,
+        )
+
+        if n_remote:
+            # Cacheline-grain access to the other pool over NVLink-C2C.
+            wire = mem.fabric.remote_traffic(processor, shape, n_remote)
+            res.remote_bytes += wire
+            res.remote_seconds += mem.link.remote_access_time(wire, processor)
+            rw = "write" if write else "read"
+            if on_gpu:
+                mem.counters.bump(**{f"c2c_{rw}_bytes": wire})
+                record_gpu_accesses(
+                    mem, alloc, alloc.subset(pages, remote_loc), wire, n_remote
+                )
+            else:
+                mem.counters.bump(**{f"cpu_remote_{rw}_bytes": wire})
+
+        self.charge_far(
+            mem, processor, alloc, pages, shape, int(counts[Location.REMOTE]), res
+        )
+        return res
 
     def managed_access(self, mem, processor, alloc, pages, shape, write, now):
-        out = (
-            mem.managed.gpu_access(alloc, pages, shape, write=write, now=now)
+        access = (
+            mem.managed.gpu_access
             if processor is Processor.GPU
-            else mem.managed.cpu_access(alloc, pages, shape, write=write, now=now)
+            else mem.managed.cpu_access
         )
-        return mem._from_managed(out, pages, shape)
+        return access(alloc, pages, shape, write=write, now=now)
 
     def pinned_access(self, mem, processor, alloc, pages, shape, write):
-        return mem._pinned_access(processor, alloc, pages, shape, write)
-
-    def host_register(self, mem, alloc) -> float:
-        return mem.faults.prepopulate(alloc, PageSet.full(alloc.n_pages))
+        if processor is Processor.CPU:
+            return super().pinned_access(
+                mem, processor, alloc, pages, shape, write
+            )
+        # Zero-copy: the GPU reads pinned host memory over NVLink-C2C.
+        res = AccessResult()
+        wire = mem.fabric.remote_traffic(processor, shape, pages.count)
+        res.remote_bytes = wire
+        res.remote_seconds = mem.link.remote_access_time(wire, processor)
+        mem.counters.bump(
+            **{("c2c_write_bytes" if write else "c2c_read_bytes"): wire}
+        )
+        return res
 
     def prefetch_async(self, mem, alloc, pages, now) -> float:
         return mem.managed.prefetch_to_gpu(alloc, pages, now)
-
-    def oversubscription_reference_free(self, mem) -> int:
-        return mem.physical.gpu.free

@@ -40,19 +40,13 @@ under this backend. The counter vocabulary keeps the Grace names:
 from __future__ import annotations
 
 from ..sim.config import Location, Processor
-from .arch import MemoryArchitecture, register_architecture
+from .arch import AccessResult, MemoryArchitecture, register_architecture
 from .arch_upm import NullMigrator
-from .faults import FaultHandler, FaultOutcome
+from .faults import FaultHandler
 from .observer import emit_move
 from .pagetable import AllocKind
 from .pageset import PageSet
-from .physical import OutOfMemoryError, PhysicalMemory
-from .subsystem import AccessResult
-
-
-def _tag_of(alloc) -> str:
-    prefix = "mng:" if alloc.kind is AllocKind.MANAGED else "sys:"
-    return f"{prefix}{alloc.aid}"
+from .physical import OutOfMemoryError
 
 
 class SvmFaultHandler(FaultHandler):
@@ -66,13 +60,7 @@ class SvmFaultHandler(FaultHandler):
     fault-conservation invariants backend-independent.
     """
 
-    def _tag(self, alloc) -> str:
-        return _tag_of(alloc)
-
-    def first_touch(self, alloc, unmapped, accessor: Processor) -> FaultOutcome:
-        out = FaultOutcome()
-        if not unmapped:
-            return out
+    def _place(self, alloc, unmapped, accessor, out) -> None:
         page_size = self.config.system_page_size
         cpu_part = unmapped
         spill_part = PageSet.empty()
@@ -92,26 +80,17 @@ class SvmFaultHandler(FaultHandler):
                     f"{nbytes} bytes still to place"
                 )
             alloc.set_location(cpu_part, Location.CPU)
-            self.physical.cpu.reserve(nbytes, tag=self._tag(alloc))
+            self.physical.cpu.reserve(nbytes, tag=alloc.tag)
             out.pages_on_cpu = cpu_part.count
         if spill_part:
             out.pages_on_cpu += self._spill_to_peers(alloc, spill_part)
 
-        n = unmapped.count
+    def _service_seconds(self, n, accessor, walk) -> float:
+        # The GPU raised a replayable fault per page; service is a driver
+        # round-trip over the link, not an SMMU replay.
         if accessor is Processor.GPU:
-            # The GPU raised a replayable fault per page; service is a
-            # driver round-trip over the link, not an SMMU replay.
-            self.smmu.stats.replayable_faults += n
-            self.smmu.stats.page_walks += n
-            alloc.stats.gpu_faults += n
-            self.counters.bump(gpu_replayable_faults=n)
-            out.seconds += n * self.config.svm_fault_cost
-        else:
-            out.seconds += self.smmu.cpu_first_touch_fault(n)
-            alloc.stats.cpu_faults += n
-            self.counters.bump(cpu_page_faults=n)
-        out.seconds += (n * page_size) / self.config.fault_zeroing_bandwidth
-        return out
+            return n * self.config.svm_fault_cost
+        return walk
 
 
 @register_architecture
@@ -126,9 +105,6 @@ class SvmArchitecture(MemoryArchitecture):
     )
 
     # -- construction ------------------------------------------------------
-
-    def make_physical(self, config):
-        return PhysicalMemory(config)
 
     def make_fault_handler(self, config, physical, smmu, counters):
         return SvmFaultHandler(config, physical, smmu, counters)
@@ -169,8 +145,8 @@ class SvmArchitecture(MemoryArchitecture):
                 continue
             nbytes = take.count * page_size
             victim.set_location(take, Location.CPU)
-            gpu.release(nbytes, tag=_tag_of(victim))
-            mem.physical.cpu.reserve(nbytes, tag=_tag_of(victim))
+            gpu.release(nbytes, tag=victim.tag)
+            mem.physical.cpu.reserve(nbytes, tag=victim.tag)
             t = cfg.svm_transfer_time(nbytes) / cfg.eviction_bandwidth_fraction
             mem.link.account_external(nbytes, Processor.GPU, t, "dma")
             seconds += t
@@ -192,8 +168,8 @@ class SvmArchitecture(MemoryArchitecture):
         transfer seconds."""
         nbytes = fit.count * mem.config.system_page_size
         alloc.set_location(fit, Location.GPU)
-        mem.physical.cpu.release(nbytes, tag=_tag_of(alloc))
-        mem.physical.gpu.reserve(nbytes, tag=_tag_of(alloc))
+        mem.physical.cpu.release(nbytes, tag=alloc.tag)
+        mem.physical.gpu.reserve(nbytes, tag=alloc.tag)
         t = mem.config.svm_transfer_time(nbytes)
         mem.link.account_external(nbytes, Processor.CPU, t, "migration")
         alloc.stats.pages_migrated_to_gpu += fit.count
@@ -204,10 +180,7 @@ class SvmArchitecture(MemoryArchitecture):
 
     # -- access paths ------------------------------------------------------
 
-    def local_location(self, processor: Processor) -> Location:
-        return Location.GPU if processor is Processor.GPU else Location.CPU
-
-    def _gpu_access(self, mem, alloc, pages, shape, write):
+    def _gpu_access(self, mem, alloc, pages, shape, write, now=None):
         cfg = mem.config
         page_size = cfg.system_page_size
         res = AccessResult()
@@ -220,11 +193,9 @@ class SvmArchitecture(MemoryArchitecture):
             res.fault_seconds += mem.first_touch(alloc, unmapped, Processor.GPU)
         n_stale = int(counts[Location.CPU]) + int(counts[Location.CPU_PINNED])
         if n_stale:
-            mem.smmu.stats.replayable_faults += n_stale
-            mem.smmu.stats.page_walks += n_stale
-            alloc.stats.gpu_faults += n_stale
-            mem.counters.bump(gpu_replayable_faults=n_stale)
-            res.fault_seconds += n_stale * cfg.svm_fault_cost
+            res.fault_seconds += mem.faults.charge_faults(
+                alloc, n_stale, Processor.GPU
+            )
 
         # Eager migration: everything host-resident (stale + just
         # faulted) moves to the device pool, evicting other allocations'
@@ -267,7 +238,7 @@ class SvmArchitecture(MemoryArchitecture):
 
         return self._charge(
             mem, Processor.GPU, alloc, pages, shape, write, res,
-            int(counts[Location.REMOTE]),
+            int(counts[Location.REMOTE]), now,
         )
 
     def _cpu_access(self, mem, alloc, pages, shape, write):
@@ -288,8 +259,8 @@ class SvmArchitecture(MemoryArchitecture):
             res.fault_seconds += n * cfg.svm_fault_cost
             nbytes = n * page_size
             alloc.set_location(gpu_set, Location.CPU)
-            mem.physical.gpu.release(nbytes, tag=_tag_of(alloc))
-            mem.physical.cpu.reserve(nbytes, tag=_tag_of(alloc))
+            mem.physical.gpu.release(nbytes, tag=alloc.tag)
+            mem.physical.cpu.reserve(nbytes, tag=alloc.tag)
             t = cfg.svm_transfer_time(nbytes)
             mem.link.account_external(nbytes, Processor.GPU, t, "dma")
             res.transfer_seconds += t
@@ -307,71 +278,47 @@ class SvmArchitecture(MemoryArchitecture):
             int(alloc.split_counts(pages)[Location.REMOTE]),
         )
 
-    def _charge(self, mem, processor, alloc, pages, shape, write, res, n_far):
+    def _charge(
+        self, mem, processor, alloc, pages, shape, write, res, n_far, now=None
+    ):
         """Charge ``n_far`` peer-resident pages remotely, the rest locally."""
-        if n_far and mem.fabric_port is not None:
-            wire = mem.fabric.remote_traffic(processor, shape, n_far)
-            res.remote_bytes += wire
-            res.remote_seconds += mem.fabric_port.remote_access(
-                wire, alloc, processor
-            )
-        local_bytes = shape.useful_bytes * (pages.count - n_far)
-        if processor is Processor.GPU:
-            res.hbm_bytes += local_bytes
-            side = "hbm"
-        else:
-            res.lpddr_bytes += local_bytes
-            side = "lpddr"
-        rw = "write" if write else "read"
-        mem.counters.bump(**{f"{side}_{rw}_bytes": local_bytes})
-        res.consumed_bytes = shape.useful_bytes * pages.count
-        if alloc.kind is AllocKind.SYSTEM:
-            alloc.stats.remote_read_bytes += 0 if write else res.remote_bytes
-            alloc.stats.remote_write_bytes += res.remote_bytes if write else 0
-            alloc.stats.local_read_bytes += 0 if write else local_bytes
-            alloc.stats.local_write_bytes += local_bytes if write else 0
+        self.charge_far(mem, processor, alloc, pages, shape, n_far, res)
+        self.charge_local(
+            mem.counters, processor, alloc, pages,
+            shape.useful_bytes * (pages.count - n_far), write, res, now,
+        )
         return res
 
     def system_access(self, mem, processor, alloc, pages, shape, write):
-        if processor is Processor.GPU:
-            return self._gpu_access(mem, alloc, pages, shape, write)
-        return self._cpu_access(mem, alloc, pages, shape, write)
+        return self.managed_access(mem, processor, alloc, pages, shape, write, None)
 
     def managed_access(self, mem, processor, alloc, pages, shape, write, now):
         # Managed memory adds nothing on an SVM machine: cudaMallocManaged
         # *is* fault-driven page migration, which is how every allocation
-        # behaves here. Only the LRU bookkeeping differs.
+        # behaves here. Only the LRU bookkeeping differs, and the local
+        # charge does it.
         if processor is Processor.GPU:
-            alloc.touch_blocks(pages, now)
-            return self._gpu_access(mem, alloc, pages, shape, write)
+            return self._gpu_access(mem, alloc, pages, shape, write, now)
         return self._cpu_access(mem, alloc, pages, shape, write)
 
     def pinned_access(self, mem, processor, alloc, pages, shape, write):
-        cfg = mem.config
-        res = AccessResult()
-        useful = shape.useful_bytes * pages.count
-        res.consumed_bytes = useful
         if processor is Processor.CPU:
-            res.lpddr_bytes = useful
-            mem.counters.bump(
-                **{("lpddr_write_bytes" if write else "lpddr_read_bytes"): useful}
+            return super().pinned_access(
+                mem, processor, alloc, pages, shape, write
             )
-        else:
-            # Pinned host memory stays host-resident; the GPU reads it by
-            # DMA over the link at page granularity (classic zero-copy,
-            # minus the cacheline-coherent path GH200 adds).
-            wire = mem.fabric.remote_traffic(processor, shape, pages.count)
-            t = cfg.svm_transfer_time(wire)
-            mem.link.account_external(wire, Processor.CPU, t, "remote")
-            res.remote_bytes = wire
-            res.remote_seconds = t
-            mem.counters.bump(
-                **{("c2c_write_bytes" if write else "c2c_read_bytes"): wire}
-            )
+        # Pinned host memory stays host-resident; the GPU reads it by DMA
+        # over the link at page granularity (classic zero-copy, minus the
+        # cacheline-coherent path GH200 adds).
+        res = AccessResult()
+        wire = mem.fabric.remote_traffic(processor, shape, pages.count)
+        t = mem.config.svm_transfer_time(wire)
+        mem.link.account_external(wire, Processor.CPU, t, "remote")
+        res.remote_bytes = wire
+        res.remote_seconds = t
+        mem.counters.bump(
+            **{("c2c_write_bytes" if write else "c2c_read_bytes"): wire}
+        )
         return res
-
-    def host_register(self, mem, alloc) -> float:
-        return mem.faults.prepopulate(alloc, PageSet.full(alloc.n_pages))
 
     def prefetch_async(self, mem, alloc, pages, now) -> float:
         page_size = mem.config.system_page_size
@@ -385,6 +332,3 @@ class SvmArchitecture(MemoryArchitecture):
         if fit:
             seconds += self._move_in(mem, alloc, fit)
         return seconds
-
-    def oversubscription_reference_free(self, mem) -> int:
-        return mem.physical.gpu.free

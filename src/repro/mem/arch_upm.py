@@ -39,12 +39,11 @@ from __future__ import annotations
 from contextlib import contextmanager
 
 from ..sim.config import Location, Processor, SystemConfig
-from .arch import MemoryArchitecture, register_architecture
-from .faults import FaultHandler, FaultOutcome
+from .arch import AccessResult, MemoryArchitecture, register_architecture
+from .faults import FaultHandler
 from .migration import MigrationReport
 from .pagetable import AllocKind
 from .physical import MemoryPool, OutOfMemoryError, PhysicalMemory
-from .subsystem import AccessResult
 
 
 class UnifiedPhysicalMemory(PhysicalMemory):
@@ -107,21 +106,16 @@ class UpmFaultHandler(FaultHandler):
     backend-independent.
     """
 
-    def _tag(self, alloc) -> str:
-        prefix = "mng:" if alloc.kind is AllocKind.MANAGED else "sys:"
-        return f"{prefix}{alloc.aid}"
+    populate_location = Location.GPU  # the one unified pool
 
-    def first_touch(self, alloc, unmapped, accessor: Processor) -> FaultOutcome:
-        out = FaultOutcome()
-        if not unmapped:
-            return out
+    def _place(self, alloc, unmapped, accessor, out) -> None:
         page_size = self.config.system_page_size
         pool = self.physical.gpu  # the one unified pool
         fit = unmapped.take_first(pool.free // page_size)
         spill = unmapped.difference(fit)
         if fit:
             alloc.set_location(fit, Location.GPU)
-            pool.reserve(fit.count * page_size, tag=self._tag(alloc))
+            pool.reserve(fit.count * page_size, tag=alloc.tag)
             out.pages_on_gpu = fit.count
         if spill:
             if self.fabric_port is None or alloc.kind is not AllocKind.SYSTEM:
@@ -131,29 +125,8 @@ class UpmFaultHandler(FaultHandler):
                 )
             out.pages_on_cpu += self._spill_to_peers(alloc, spill)
 
-        n = unmapped.count
-        if accessor is Processor.GPU:
-            self.smmu.stats.replayable_faults += n
-            self.smmu.stats.page_walks += n
-            alloc.stats.gpu_faults += n
-            self.counters.bump(gpu_replayable_faults=n)
-        else:
-            self.smmu.stats.cpu_faults += n
-            alloc.stats.cpu_faults += n
-            self.counters.bump(cpu_page_faults=n)
-        out.seconds += n * self.config.upm_fault_cost
-        out.seconds += (n * page_size) / self.config.fault_zeroing_bandwidth
-        return out
-
-    def prepopulate(self, alloc, pages) -> float:
-        unmapped = alloc.subset(pages, Location.UNMAPPED)
-        if not unmapped:
-            return 0.0
-        nbytes = unmapped.count * self.config.system_page_size
-        alloc.set_location(unmapped, Location.GPU)
-        self.physical.gpu.reserve(nbytes, tag=self._tag(alloc))
-        zero = nbytes / self.config.fault_zeroing_bandwidth
-        return self.smmu.bulk_populate(unmapped.count) + zero
+    def _service_seconds(self, n, accessor, walk) -> float:
+        return n * self.config.upm_fault_cost
 
 
 @register_architecture
@@ -185,89 +158,45 @@ class UpmArchitecture(MemoryArchitecture):
         # as local. Pages are recorded at Location.GPU on first touch.
         return Location.GPU
 
-    def _charge_local(self, mem, processor, alloc, pages, shape, write, res):
+    def _charge_mapped(self, mem, processor, alloc, pages, shape, write, res, now):
         """Charge every mapped page of the access to the one pool; returns
-        the per-location counts and the local bytes."""
+        the per-location counts."""
         counts = alloc.split_counts(pages)
         n_local = (
             int(counts[Location.GPU])
             + int(counts[Location.CPU])
             + int(counts[Location.CPU_PINNED])
         )
-        local_bytes = shape.useful_bytes * n_local
-        if processor is Processor.GPU:
-            res.hbm_bytes += local_bytes
-            mem.counters.bump(
-                **{("hbm_write_bytes" if write else "hbm_read_bytes"): local_bytes}
-            )
-        else:
-            res.lpddr_bytes += local_bytes
-            mem.counters.bump(
-                **{("lpddr_write_bytes" if write else "lpddr_read_bytes"): local_bytes}
-            )
-        res.consumed_bytes = shape.useful_bytes * pages.count
-        return counts, local_bytes
+        self.charge_local(
+            mem.counters, processor, alloc, pages,
+            shape.useful_bytes * n_local, write, res, now,
+        )
+        return counts
 
     def system_access(self, mem, processor, alloc, pages, shape, write):
         res = AccessResult()
         unmapped = alloc.subset(pages, Location.UNMAPPED)
         if unmapped:
             res.fault_seconds += mem.first_touch(alloc, unmapped, processor)
-        counts, local_bytes = self._charge_local(
-            mem, processor, alloc, pages, shape, write, res
+        counts = self._charge_mapped(
+            mem, processor, alloc, pages, shape, write, res, None
         )
-
-        n_far = int(counts[Location.REMOTE])
-        if n_far and mem.fabric_port is not None:
-            # Pages spilled to a peer chip's pool: fabric-grain access,
-            # but never migrated home (no migrator to pull them).
-            wire = mem.fabric.remote_traffic(processor, shape, n_far)
-            res.remote_bytes += wire
-            res.remote_seconds += mem.fabric_port.remote_access(
-                wire, alloc, processor
-            )
-
-        alloc.stats.remote_read_bytes += 0 if write else res.remote_bytes
-        alloc.stats.remote_write_bytes += res.remote_bytes if write else 0
-        alloc.stats.local_read_bytes += 0 if write else local_bytes
-        alloc.stats.local_write_bytes += local_bytes if write else 0
+        # Pages spilled to a peer chip's pool: fabric-grain access, but
+        # never migrated home (no migrator to pull them).
+        self.charge_far(
+            mem, processor, alloc, pages, shape, int(counts[Location.REMOTE]), res
+        )
         return res
 
     def managed_access(self, mem, processor, alloc, pages, shape, write, now):
         res = AccessResult()
-        if processor is Processor.GPU:
-            alloc.touch_blocks(pages, now)
         unmapped = alloc.subset(pages, Location.UNMAPPED)
         if unmapped:
             # Same handler as system memory: uniform fault economics is
             # the point of the design.
-            fault = mem.faults.first_touch(alloc, unmapped, processor)
-            res.fault_seconds += fault.seconds
-        self._charge_local(mem, processor, alloc, pages, shape, write, res)
+            res.fault_seconds += mem.first_touch(alloc, unmapped, processor)
+        self._charge_mapped(mem, processor, alloc, pages, shape, write, res, now)
         return res
-
-    def pinned_access(self, mem, processor, alloc, pages, shape, write):
-        res = AccessResult()
-        useful = shape.useful_bytes * pages.count
-        res.consumed_bytes = useful
-        if processor is Processor.CPU:
-            res.lpddr_bytes = useful
-            mem.counters.bump(
-                **{("lpddr_write_bytes" if write else "lpddr_read_bytes"): useful}
-            )
-        else:
-            # "Pinned host memory" is the same pool the GPU computes
-            # from: zero-copy at the GPU roofline, no C2C hop.
-            res.hbm_bytes = useful
-            mem.counters.bump(
-                **{("hbm_write_bytes" if write else "hbm_read_bytes"): useful}
-            )
-        return res
-
-    def host_register(self, mem, alloc) -> float:
-        from .pageset import PageSet
-
-        return mem.faults.prepopulate(alloc, PageSet.full(alloc.n_pages))
 
     def prefetch_async(self, mem, alloc, pages, now) -> float:
         # Everything already lives in the one pool; prefetch is free.
@@ -279,8 +208,9 @@ class UpmArchitecture(MemoryArchitecture):
         # this keeps oversubscription ratios comparable across backends.
         cfg = mem.config
         dev_bytes = sum(
-            n for tag, n in mem.physical.gpu.by_tag.items()
-            if tag.startswith("dev:")
+            mem.physical.gpu.by_tag.get(alloc.tag, 0)
+            for alloc in mem.gpu_table.live_allocations()
+            if alloc.kind is AllocKind.DEVICE
         )
         return max(
             cfg.gpu_memory_bytes - cfg.gpu_driver_baseline_bytes - dev_bytes, 0

@@ -26,13 +26,12 @@ observation:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..interconnect.nvlink import NvlinkC2C, ordered_sum
 from ..profiling.counters import HardwareCounters
 from ..sim.config import Location, Processor, SystemConfig
+from .arch import AccessResult, resolve_arch
 from .coherence import AccessShape, CoherenceFabric
 from .gmmu import Gmmu
 from .observer import emit_move
@@ -40,20 +39,6 @@ from .pagetable import Allocation, AllocKind
 from .pageset import PageSet
 from .physical import PhysicalMemory
 from .tlb import TlbHierarchy
-
-
-@dataclass
-class ManagedOutcome:
-    """Cost components of one managed-memory access batch."""
-
-    fault_seconds: float = 0.0
-    transfer_seconds: float = 0.0  # on-demand migration on the critical path
-    remote_seconds: float = 0.0  # remote-mapped access time
-    hbm_bytes: int = 0
-    lpddr_bytes: int = 0
-    remote_bytes: int = 0
-    evicted_bytes: int = 0
-    migrated_bytes: int = 0
 
 
 class ManagedMemoryManager:
@@ -76,6 +61,9 @@ class ManagedMemoryManager:
         self.tlbs = tlbs
         self.fabric = fabric
         self.counters = counters
+        #: The configured backend, whose local-charge hook prices the
+        #: HBM/LPDDR traffic of every managed access.
+        self.arch = resolve_arch(config.mem_arch)
         #: Memory observers, shared with the owning subsystem.
         self.observers: list = []
         #: All live managed allocations, for cross-allocation LRU eviction.
@@ -89,9 +77,6 @@ class ManagedMemoryManager:
         self.allocations.pop(alloc.aid, None)
 
     # -- helpers ------------------------------------------------------------
-
-    def _tag(self, alloc: Allocation) -> str:
-        return f"mng:{alloc.aid}"
 
     def _page_bytes(self, n_pages: int) -> int:
         return n_pages * self.config.system_page_size
@@ -165,8 +150,8 @@ class ManagedMemoryManager:
             gpu_pages = alloc.subset(alloc.block_pageset(sel), Location.GPU)
             nbytes = self._page_bytes(gpu_pages.count)
             alloc.set_location(gpu_pages, Location.CPU)
-            self.physical.gpu.release(nbytes, tag=self._tag(alloc))
-            self.physical.cpu.reserve(nbytes, tag=self._tag(alloc))
+            self.physical.gpu.release(nbytes, tag=alloc.tag)
+            self.physical.cpu.reserve(nbytes, tag=alloc.tag)
             alloc.stats.pages_evicted += gpu_pages.count
             self.counters.bump(
                 eviction_bytes=nbytes,
@@ -191,21 +176,21 @@ class ManagedMemoryManager:
         *,
         write: bool,
         now: float,
-    ) -> ManagedOutcome:
-        out = ManagedOutcome()
+    ) -> AccessResult:
+        out = AccessResult()
         counts = alloc.split_counts(pages)
+        # Touch first, so the evictions below see these blocks as the
+        # most recently used (hence no ``now`` for the local charge).
         alloc.touch_blocks(pages, now)
 
         # 1. Already GPU-resident: local HBM traffic.
-        n_gpu = int(counts[Location.GPU])
-        if n_gpu:
-            out.hbm_bytes += shape.useful_bytes * n_gpu
+        n_hbm = int(counts[Location.GPU])
 
         # 2. First touch (unmapped): map directly on the GPU, evicting LRU
         #    blocks if needed; spill CPU-side when nothing is evictable.
         n_unmapped = int(counts[Location.UNMAPPED])
         if n_unmapped:
-            self._gpu_first_touch(
+            n_hbm += self._gpu_first_touch(
                 alloc, alloc.subset(pages, Location.UNMAPPED), shape, out, now
             )
 
@@ -217,7 +202,7 @@ class ManagedMemoryManager:
             if alloc.oversubscription_pinned:
                 self._remote_access(alloc, cpu_pages, shape, out, write)
             else:
-                self._on_demand_migrate(alloc, cpu_pages, shape, out, now)
+                n_hbm += self._on_demand_migrate(alloc, cpu_pages, shape, out, now)
 
         # 4. Remote-pinned pages are always accessed over NVLink-C2C.
         n_pinned = int(counts[Location.CPU_PINNED])
@@ -226,7 +211,13 @@ class ManagedMemoryManager:
                 alloc, alloc.subset(pages, Location.CPU_PINNED), shape, out, write
             )
 
-        self._account(out, write)
+        self.arch.charge_local(
+            self.counters, Processor.GPU, alloc, pages,
+            shape.useful_bytes * n_hbm, write, out,
+        )
+        self.counters.bump(
+            **{("c2c_write_bytes" if write else "c2c_read_bytes"): out.remote_bytes}
+        )
         return out
 
     def _gpu_first_touch(
@@ -234,14 +225,16 @@ class ManagedMemoryManager:
         alloc: Allocation,
         pages: PageSet,
         shape: AccessShape,
-        out: ManagedOutcome,
+        out: AccessResult,
         now: float,
-    ) -> None:
+    ) -> int:
+        """Map ``pages`` (rounded out to whole blocks) GPU-side; returns
+        how many landed in HBM."""
         pages = alloc.subset(pages.align_down(alloc.block_pages).clip(alloc.n_pages),
                              Location.UNMAPPED)
         nbytes = self._page_bytes(pages.count)
         if nbytes == 0:
-            return
+            return 0
         _, evict_t = self.evict_bytes(nbytes + self._headroom(), now)
         out.fault_seconds += evict_t
         fit_pages = max(self.physical.gpu.free - self._headroom(), 0) // (
@@ -252,10 +245,9 @@ class ManagedMemoryManager:
         if gpu_part:
             got = self._page_bytes(gpu_part.count)
             alloc.set_location(gpu_part, Location.GPU)
-            self.physical.gpu.reserve(got, tag=self._tag(alloc))
+            self.physical.gpu.reserve(got, tag=alloc.tag)
             n_blocks = len(gpu_part.blocks(alloc.block_pages))
             out.fault_seconds += self.gmmu.create_ptes(n_blocks)
-            out.hbm_bytes += shape.useful_bytes * gpu_part.count
         if cpu_part:
             # Nothing evictable: spill to CPU memory. For naturally
             # oversubscribed allocations the driver remote-maps the spill.
@@ -266,7 +258,7 @@ class ManagedMemoryManager:
                 else Location.CPU
             )
             alloc.set_location(cpu_part, loc)
-            self.physical.cpu.reserve(spill, tag=self._tag(alloc))
+            self.physical.cpu.reserve(spill, tag=alloc.tag)
             out.fault_seconds += self.gmmu.far_fault(
                 len(cpu_part.blocks(alloc.block_pages))
             )
@@ -277,22 +269,25 @@ class ManagedMemoryManager:
             )
             out.remote_bytes += shape.useful_bytes * cpu_part.count
         alloc.stats.managed_faults += 1
+        return gpu_part.count
 
     def _on_demand_migrate(
         self,
         alloc: Allocation,
         cpu_pages: PageSet,
         shape: AccessShape,
-        out: ManagedOutcome,
+        out: AccessResult,
         now: float,
-    ) -> None:
+    ) -> int:
+        """Migrate ``cpu_pages`` to the GPU; returns how many pages the
+        access then reads from HBM."""
         if self._naturally_oversubscribed(alloc):
             # The driver gives up on migrating an allocation that cannot
             # fit: remote-map it instead (Section 7, 34-qubit behaviour).
             alloc.oversubscription_pinned = True
             alloc.set_location(cpu_pages, Location.CPU_PINNED)
             self._remote_access(alloc, cpu_pages, shape, out, write=False)
-            return
+            return 0
         nbytes = self._page_bytes(cpu_pages.count)
         _, evict_t = self.evict_bytes(nbytes + self._headroom(), now)
         thrash = self.config.eviction_thrash_factor() if evict_t > 0 else 1.0
@@ -316,13 +311,11 @@ class ManagedMemoryManager:
             )
             out.transfer_seconds += transfer
             alloc.set_location(move, Location.GPU)
-            self.physical.cpu.release(moved_bytes, tag=self._tag(alloc))
-            self.physical.gpu.reserve(moved_bytes, tag=self._tag(alloc))
-            out.migrated_bytes += effective
+            self.physical.cpu.release(moved_bytes, tag=alloc.tag)
+            self.physical.gpu.reserve(moved_bytes, tag=alloc.tag)
             # Data lands in GPU memory and is then read locally (the
             # paper's Figure 10 note: even iteration 1 reads from GPU
             # memory in the managed version).
-            out.hbm_bytes += shape.useful_bytes * move.count
             alloc.stats.pages_migrated_to_gpu += move.count
             self.counters.bump(
                 migration_h2d_bytes=effective,
@@ -334,14 +327,14 @@ class ManagedMemoryManager:
                 alloc=alloc.name,
             )
         if rest:
-            self._streaming_thrash(alloc, rest, shape, out)
+            self._streaming_thrash(alloc, rest, out)
+        return cpu_pages.count
 
     def _streaming_thrash(
         self,
         alloc: Allocation,
         pages: PageSet,
-        shape: AccessShape,
-        out: ManagedOutcome,
+        out: AccessResult,
     ) -> None:
         """Evict+migrate churn for the part of a working set that cannot
         fit in GPU memory (simulated-oversubscription behaviour of
@@ -370,10 +363,7 @@ class ManagedMemoryManager:
         )
         # The data is consumed from GPU memory while it is briefly
         # resident (Figure 10's observation that managed reads come from
-        # GPU memory even while pages migrate).
-        out.hbm_bytes += shape.useful_bytes * pages.count
-        out.evicted_bytes += effective
-        out.migrated_bytes += effective
+        # GPU memory even while pages migrate): the caller charges HBM.
         alloc.stats.pages_migrated_to_gpu += pages.count
         alloc.stats.pages_evicted += pages.count
         self.counters.bump(
@@ -395,7 +385,7 @@ class ManagedMemoryManager:
         alloc: Allocation,
         pages: PageSet,
         shape: AccessShape,
-        out: ManagedOutcome,
+        out: AccessResult,
         write: bool,
     ) -> None:
         wire = self.fabric.remote_traffic(Processor.GPU, shape, pages.count)
@@ -414,8 +404,8 @@ class ManagedMemoryManager:
         *,
         write: bool,
         now: float,
-    ) -> ManagedOutcome:
-        out = ManagedOutcome()
+    ) -> AccessResult:
+        out = AccessResult()
         counts = alloc.split_counts(pages)
 
         n_unmapped = int(counts[Location.UNMAPPED])
@@ -424,7 +414,7 @@ class ManagedMemoryManager:
             unmapped = alloc.subset(pages, Location.UNMAPPED)
             nbytes = self._page_bytes(unmapped.count)
             alloc.set_location(unmapped, Location.CPU)
-            self.physical.cpu.reserve(nbytes, tag=self._tag(alloc))
+            self.physical.cpu.reserve(nbytes, tag=alloc.tag)
             out.fault_seconds += unmapped.count * self.config.cpu_fault_cost
             alloc.stats.cpu_faults += unmapped.count
             self.counters.bump(cpu_page_faults=unmapped.count)
@@ -438,8 +428,8 @@ class ManagedMemoryManager:
             victim = alloc.subset(blocks, Location.GPU)
             nbytes = self._page_bytes(victim.count)
             alloc.set_location(victim, Location.CPU)
-            self.physical.gpu.release(nbytes, tag=self._tag(alloc))
-            self.physical.cpu.reserve(nbytes, tag=self._tag(alloc))
+            self.physical.gpu.release(nbytes, tag=alloc.tag)
+            self.physical.cpu.reserve(nbytes, tag=alloc.tag)
             transfer = self.link.streaming_time(
                 nbytes, Processor.GPU, Processor.CPU
             )
@@ -447,7 +437,6 @@ class ManagedMemoryManager:
             out.fault_seconds += self.gmmu.far_fault(
                 len(victim.blocks(alloc.block_pages))
             ) + self.tlbs.gpu.shootdown(victim.count)
-            out.migrated_bytes += nbytes
             alloc.stats.pages_migrated_to_cpu += victim.count
             self.counters.bump(
                 migration_d2h_bytes=nbytes,
@@ -460,11 +449,9 @@ class ManagedMemoryManager:
             )
 
         cpu_like = int(counts[Location.CPU]) + int(counts[Location.CPU_PINNED])
-        local_bytes = shape.useful_bytes * (cpu_like + n_unmapped + n_gpu)
-        out.lpddr_bytes += local_bytes
-        self.counters.bump(
-            lpddr_write_bytes=local_bytes if write else 0,
-            lpddr_read_bytes=0 if write else local_bytes,
+        self.arch.charge_local(
+            self.counters, Processor.CPU, alloc, pages,
+            shape.useful_bytes * (cpu_like + n_unmapped + n_gpu), write, out,
         )
         return out
 
@@ -492,8 +479,8 @@ class ManagedMemoryManager:
         if move:
             moved = self._page_bytes(move.count)
             alloc.set_location(move, Location.GPU)
-            self.physical.cpu.release(moved, tag=self._tag(alloc))
-            self.physical.gpu.reserve(moved, tag=self._tag(alloc))
+            self.physical.cpu.release(moved, tag=alloc.tag)
+            self.physical.gpu.reserve(moved, tag=alloc.tag)
             seconds += self.link.streaming_time(moved, Processor.CPU, Processor.GPU)
             alloc.touch_blocks(move, now)
             alloc.stats.pages_migrated_to_gpu += move.count
@@ -501,15 +488,3 @@ class ManagedMemoryManager:
                 migration_h2d_bytes=moved, pages_migrated_h2d=move.count
             )
         return seconds
-
-    # -- accounting ------------------------------------------------------------------
-
-    def _account(self, out: ManagedOutcome, write: bool) -> None:
-        if write:
-            self.counters.bump(
-                hbm_write_bytes=out.hbm_bytes, c2c_write_bytes=out.remote_bytes
-            )
-        else:
-            self.counters.bump(
-                hbm_read_bytes=out.hbm_bytes, c2c_read_bytes=out.remote_bytes
-            )

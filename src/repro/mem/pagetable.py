@@ -57,6 +57,16 @@ class AllocKind(Enum):
     NUMA_CPU = "numa-cpu"
 
 
+#: Prefix of each kind's physical-pool ledger tag (``<prefix>:<aid>``,
+#: see :attr:`Allocation.tag`); pinned and NUMA memory share one.
+POOL_TAG_PREFIXES = {
+    AllocKind.SYSTEM: "sys",
+    AllocKind.MANAGED: "mng",
+    AllocKind.DEVICE: "dev",
+    AllocKind.HOST_PINNED: "pin",
+    AllocKind.NUMA_CPU: "pin",
+}
+
 #: Rows of the paper's Table 1, regenerated by the Table 1 benchmark.
 MEMORY_TYPE_TABLE = [
     {
@@ -291,6 +301,11 @@ class Allocation:
         """Physical bytes at ``loc`` (short last page counted in full, as
         the OS would)."""
         return self.pages_at(loc) * self.page_size
+
+    @property
+    def tag(self) -> str:
+        """This allocation's key in the physical pools' ``by_tag`` ledgers."""
+        return f"{POOL_TAG_PREFIXES[self.kind]}:{self.aid}"
 
     @property
     def mapped_pages(self) -> int:

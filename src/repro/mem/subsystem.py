@@ -1,16 +1,12 @@
 """The unified memory subsystem: one façade over the whole memory model.
 
-Dispatches every access batch by allocation kind:
-
-* **system** (``malloc``) — first-touch fault handling through the SMMU,
-  then cacheline-granularity local/remote traffic with access-counter
-  updates feeding the delayed migration engine (Sections 2.1-2.2);
-* **managed** (``cudaMallocManaged``) — delegated to
-  :class:`~repro.mem.managed.ManagedMemoryManager` (Section 2.3);
-* **device** (``cudaMalloc``) — GPU-local only; CPU access is rejected,
-  matching the non-coherent row of Table 1;
-* **host-pinned / numa** — CPU-resident; GPU accesses are zero-copy
-  remote reads over NVLink-C2C.
+Dispatches every access batch by allocation kind to the configured
+:class:`~repro.mem.arch.MemoryArchitecture` backend — **system**
+(``malloc``), **managed** (``cudaMallocManaged``) and **host-pinned /
+numa** memory are priced behind that interface — except **device**
+(``cudaMalloc``) memory, which is GPU-local on every backend and rejects
+CPU access, matching the non-coherent row of Table 1. The subsystem
+itself keeps only dispatch, allocation lifecycle and epochs.
 
 The kernel executor calls :meth:`begin_epoch` before each launch so the
 driver can service pending access-counter notifications (migrations land
@@ -20,16 +16,14 @@ runs concurrently with them).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..interconnect.copyengine import CopyEngine
 from ..interconnect.nvlink import NvlinkC2C
 from ..profiling.counters import HardwareCounters
 from ..sim.config import Location, Processor, SystemConfig
-from .arch import resolve_arch
+from .arch import AccessResult, resolve_arch
 from .coherence import AccessShape, CoherenceFabric
 from .gmmu import Gmmu
-from .managed import ManagedMemoryManager, ManagedOutcome
+from .managed import ManagedMemoryManager
 from .migration import MigrationReport
 from .observer import MemObserver, emit_move
 from .pagetable import (
@@ -41,29 +35,6 @@ from .pagetable import (
 from .pageset import PageSet
 from .smmu import Smmu
 from .tlb import TlbHierarchy
-
-
-@dataclass
-class AccessResult:
-    """Cost and traffic of one access batch, for the kernel cost model."""
-
-    fault_seconds: float = 0.0
-    remote_seconds: float = 0.0
-    transfer_seconds: float = 0.0
-    hbm_bytes: int = 0
-    lpddr_bytes: int = 0
-    remote_bytes: int = 0
-    consumed_bytes: int = 0
-
-    def merge(self, other: "AccessResult") -> "AccessResult":
-        self.fault_seconds += other.fault_seconds
-        self.remote_seconds += other.remote_seconds
-        self.transfer_seconds += other.transfer_seconds
-        self.hbm_bytes += other.hbm_bytes
-        self.lpddr_bytes += other.lpddr_bytes
-        self.remote_bytes += other.remote_bytes
-        self.consumed_bytes += other.consumed_bytes
-        return self
 
 
 class MemorySubsystem:
@@ -148,10 +119,10 @@ class MemorySubsystem:
                 self.managed.register(alloc)
         elif kind is AllocKind.DEVICE:
             self.gpu_table.register(alloc)
-            self.physical.gpu.reserve(alloc.bytes_at(Location.GPU), f"dev:{alloc.aid}")
+            self.physical.gpu.reserve(alloc.bytes_at(Location.GPU), alloc.tag)
         else:  # pinned / numa
             self.system_table.register(alloc)
-            self.physical.cpu.reserve(alloc.bytes_at(Location.CPU), f"pin:{alloc.aid}")
+            self.physical.cpu.reserve(alloc.bytes_at(Location.CPU), alloc.tag)
         for obs in self.observers:
             obs.on_alloc(alloc)
         return alloc
@@ -163,9 +134,7 @@ class MemorySubsystem:
         seconds = 0.0
         if alloc.kind in (AllocKind.SYSTEM, AllocKind.MANAGED):
             seconds += self.system_table.teardown_cost(alloc)
-            tag = ("sys:" if alloc.kind is AllocKind.SYSTEM else "mng:") + str(
-                alloc.aid
-            )
+            tag = alloc.tag
             for loc, pool in (
                 (Location.CPU, self.physical.cpu),
                 (Location.CPU_PINNED, self.physical.cpu),
@@ -187,11 +156,11 @@ class MemorySubsystem:
                 self.managed.unregister(alloc)
                 seconds += self.config.cuda_free_call_cost
         elif alloc.kind is AllocKind.DEVICE:
-            self.physical.gpu.release(alloc.bytes_at(Location.GPU), f"dev:{alloc.aid}")
+            self.physical.gpu.release(alloc.bytes_at(Location.GPU), alloc.tag)
             self.gpu_table.unregister(alloc)
             seconds += self.config.cuda_free_call_cost
         else:
-            self.physical.cpu.release(alloc.bytes_at(Location.CPU), f"pin:{alloc.aid}")
+            self.physical.cpu.release(alloc.bytes_at(Location.CPU), alloc.tag)
             self.system_table.unregister(alloc)
         alloc.freed = True
         self.counters.bump(tlb_shootdowns=1)
@@ -247,6 +216,11 @@ class MemorySubsystem:
             res = self.arch.system_access(
                 self, processor, alloc, pages, shape, write
             )
+            if write:
+                alloc.stats.remote_write_bytes += res.remote_bytes
+            else:
+                alloc.stats.remote_read_bytes += res.remote_bytes
+        res.consumed_bytes = shape.useful_bytes * pages.count
         for obs in self.observers:
             obs.on_access(processor, alloc, pages, shape, write, now)
         return res
@@ -272,10 +246,9 @@ class MemorySubsystem:
         """
         total = AccessResult()
         observers = self.observers
-        on_gpu = processor is Processor.GPU
+        counters = self.counters
+        charge_local = self.arch.charge_local
         local_loc = self.arch.local_location(processor)
-        side = "hbm" if on_gpu else "lpddr"
-        counter = {False: f"{side}_read_bytes", True: f"{side}_write_bytes"}
         with self.migrator.deferred():
             for i, alloc in enumerate(batch.allocs):
                 if alloc.freed:
@@ -296,18 +269,10 @@ class MemorySubsystem:
                     continue
                 if pages:
                     local_bytes = int(batch.useful_bytes[i]) * pages.count
-                    if on_gpu:
-                        if kind is AllocKind.MANAGED:
-                            alloc.touch_blocks(pages, now)
-                        total.hbm_bytes += local_bytes
-                    else:
-                        total.lpddr_bytes += local_bytes
-                    self.counters.bump(**{counter[write]: local_bytes})
-                    if kind is AllocKind.SYSTEM:
-                        if write:
-                            alloc.stats.local_write_bytes += local_bytes
-                        else:
-                            alloc.stats.local_read_bytes += local_bytes
+                    charge_local(
+                        counters, processor, alloc, pages, local_bytes, write,
+                        total, now,
+                    )
                     total.consumed_bytes += local_bytes
                 if observers:
                     shape = batch.shape(i)
@@ -324,95 +289,6 @@ class MemorySubsystem:
             obs.on_fault(processor, alloc, unmapped, fault)
         return fault.seconds
 
-    def _system_access(
-        self,
-        processor: Processor,
-        alloc: Allocation,
-        pages: PageSet,
-        shape: AccessShape,
-        write: bool,
-    ) -> AccessResult:
-        res = AccessResult()
-        unmapped = alloc.subset(pages, Location.UNMAPPED)
-        if unmapped:
-            res.fault_seconds += self.first_touch(alloc, unmapped, processor)
-
-        counts = alloc.split_counts(pages)
-        local_loc = Location.GPU if processor is Processor.GPU else Location.CPU
-        remote_loc = Location.CPU if processor is Processor.GPU else Location.GPU
-
-        n_local = int(counts[local_loc])
-        n_remote = int(counts[remote_loc])
-        if local_loc is Location.GPU:
-            n_remote += int(counts[Location.CPU_PINNED])
-        else:
-            n_local += int(counts[Location.CPU_PINNED])
-
-        local_bytes = shape.useful_bytes * n_local
-        if processor is Processor.GPU:
-            res.hbm_bytes += local_bytes
-            self.counters.bump(
-                **{("hbm_write_bytes" if write else "hbm_read_bytes"): local_bytes}
-            )
-        else:
-            res.lpddr_bytes += local_bytes
-            self.counters.bump(
-                **{("lpddr_write_bytes" if write else "lpddr_read_bytes"): local_bytes}
-            )
-
-        if n_remote:
-            remote_pages = alloc.subset(pages, remote_loc)
-            wire = self.fabric.remote_traffic(processor, shape, n_remote)
-            res.remote_bytes += wire
-            res.remote_seconds += self.link.remote_access_time(wire, processor)
-            if processor is Processor.GPU:
-                self.counters.bump(
-                    **{("c2c_write_bytes" if write else "c2c_read_bytes"): wire}
-                )
-                accesses_per_page = max(
-                    1,
-                    (wire // max(n_remote, 1)) // self.config.cacheline_bytes_gpu,
-                )
-                self.migrator.record_gpu_accesses(
-                    alloc, remote_pages, accesses_per_page
-                )
-            else:
-                self.counters.bump(
-                    **{
-                        (
-                            "cpu_remote_write_bytes"
-                            if write
-                            else "cpu_remote_read_bytes"
-                        ): wire
-                    }
-                )
-
-        n_far = int(counts[Location.REMOTE])
-        if n_far and self.fabric_port is not None:
-            # Pages resident on a *peer superchip's* DDR: cacheline-grain
-            # access over the inter-chip fabric (multi-hop, derated).
-            far_pages = alloc.subset(pages, Location.REMOTE)
-            wire = self.fabric.remote_traffic(processor, shape, n_far)
-            res.remote_bytes += wire
-            res.remote_seconds += self.fabric_port.remote_access(
-                wire, alloc, processor
-            )
-            if processor is Processor.GPU:
-                accesses_per_page = max(
-                    1,
-                    (wire // max(n_far, 1)) // self.config.cacheline_bytes_gpu,
-                )
-                self.migrator.record_gpu_accesses(
-                    alloc, far_pages, accesses_per_page
-                )
-
-        res.consumed_bytes = shape.useful_bytes * pages.count
-        alloc.stats.remote_read_bytes += 0 if write else res.remote_bytes
-        alloc.stats.remote_write_bytes += res.remote_bytes if write else 0
-        alloc.stats.local_read_bytes += 0 if write else local_bytes
-        alloc.stats.local_write_bytes += local_bytes if write else 0
-        return res
-
     def _device_access(
         self,
         processor: Processor,
@@ -427,50 +303,11 @@ class MemorySubsystem:
                 "(Table 1: not cache coherent); use cudaMemcpy"
             )
         res = AccessResult()
-        res.hbm_bytes = shape.useful_bytes * pages.count
-        res.consumed_bytes = res.hbm_bytes
-        self.counters.bump(
-            **{("hbm_write_bytes" if write else "hbm_read_bytes"): res.hbm_bytes}
+        self.arch.charge_local(
+            self.counters, processor, alloc, pages,
+            shape.useful_bytes * pages.count, write, res,
         )
         return res
-
-    def _pinned_access(
-        self,
-        processor: Processor,
-        alloc: Allocation,
-        pages: PageSet,
-        shape: AccessShape,
-        write: bool,
-    ) -> AccessResult:
-        res = AccessResult()
-        useful = shape.useful_bytes * pages.count
-        res.consumed_bytes = useful
-        if processor is Processor.CPU:
-            res.lpddr_bytes = useful
-            self.counters.bump(
-                **{("lpddr_write_bytes" if write else "lpddr_read_bytes"): useful}
-            )
-        else:
-            wire = self.fabric.remote_traffic(processor, shape, pages.count)
-            res.remote_bytes = wire
-            res.remote_seconds = self.link.remote_access_time(wire, processor)
-            self.counters.bump(
-                **{("c2c_write_bytes" if write else "c2c_read_bytes"): wire}
-            )
-        return res
-
-    def _from_managed(
-        self, out: ManagedOutcome, pages: PageSet, shape: AccessShape
-    ) -> AccessResult:
-        return AccessResult(
-            fault_seconds=out.fault_seconds,
-            remote_seconds=out.remote_seconds,
-            transfer_seconds=out.transfer_seconds,
-            hbm_bytes=out.hbm_bytes,
-            lpddr_bytes=out.lpddr_bytes,
-            remote_bytes=out.remote_bytes,
-            consumed_bytes=shape.useful_bytes * pages.count,
-        )
 
     # -- optimisation APIs (Section 5.1.2, 2.3.2) -------------------------------------
 

@@ -400,6 +400,10 @@ class SystemConfig:
                 f"system_page_size must be one of {VALID_SYSTEM_PAGE_SIZES}, "
                 f"got {self.system_page_size}"
             )
+        if self.gpu_page_size <= 0 or self.gpu_page_size & (self.gpu_page_size - 1):
+            raise ValueError(
+                f"gpu_page_size must be a power of two, got {self.gpu_page_size}"
+            )
         if self.gpu_page_size % self.system_page_size != 0:
             raise ValueError("gpu_page_size must be a multiple of system_page_size")
         if not 0 < self.migration_threshold < 2**32:
@@ -416,6 +420,9 @@ class SystemConfig:
             raise ValueError("memory capacities must be positive")
         if not self.mem_arch or not isinstance(self.mem_arch, str):
             raise ValueError("mem_arch must be a non-empty backend name")
+        from ..mem.arch import resolve_arch  # the backends import this module
+
+        resolve_arch(self.mem_arch)  # raises, listing the registered backends
         if self.upm_fault_cost <= 0:
             raise ValueError("upm_fault_cost must be positive")
         if self.svm_link_gbps <= 0:

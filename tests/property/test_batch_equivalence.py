@@ -9,17 +9,21 @@ through the scalar :meth:`MemorySubsystem.access` loop. The returned
 :class:`AccessResult` must match field-for-field (bit-exact floats) and
 the *entire* mutable system state must fingerprint identically, through
 the following epoch boundary (which flushes the batch's deferred
-access-counter bumps into the migrator).
+access-counter bumps into the migrator). It runs on every registered
+memory-architecture backend, since the fast path and every backend's
+slow path share one local-charge hook.
 """
 
 import dataclasses
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.kernels import ArrayAccess
 from repro.core.runtime import GraceHopperSystem
+from repro.mem.arch import architecture_names
 from repro.mem.batch import AccessBatch
 from repro.sim.checkpoint import SystemCheckpoint
 from repro.sim.config import Processor, SystemConfig
@@ -27,9 +31,9 @@ from repro.sim.config import Processor, SystemConfig
 N_ELEMS = 1 << 16  # 64 pages of 4 KiB per allocation at 1/1024 scale
 
 
-def make_system() -> GraceHopperSystem:
+def make_system(mem_arch: str) -> GraceHopperSystem:
     return GraceHopperSystem(
-        SystemConfig.scaled(1 / 1024, migration_enable=True)
+        SystemConfig.scaled(1 / 1024, migration_enable=True, mem_arch=mem_arch)
     )
 
 
@@ -61,8 +65,8 @@ epochs = st.builds(
 )
 
 
-def build_and_run(epoch: Epoch, *, fused: bool):
-    gh = make_system()
+def build_and_run(epoch: Epoch, mem_arch: str, *, fused: bool):
+    gh = make_system(mem_arch)
     sys_arr = gh.malloc(np.float32, (N_ELEMS,), name="eq.sys")
     man_arr = gh.cuda_malloc_managed(np.float32, (N_ELEMS,), name="eq.man")
     arrays = [sys_arr, man_arr]
@@ -93,7 +97,9 @@ def build_and_run(epoch: Epoch, *, fused: bool):
             ArrayAccess.write_(arr, pages) if write
             else ArrayAccess.read(arr, pages)
         )
-    now = gh.now
+    # A nonzero epoch time, so a skipped or extra LRU block touch shows
+    # up in the fingerprinted state.
+    now = gh.now + 1.0
     if fused:
         result = gh.mem.access_batch(
             epoch.processor, AccessBatch.from_accesses(accesses), now=now
@@ -115,11 +121,12 @@ def build_and_run(epoch: Epoch, *, fused: bool):
     return result, SystemCheckpoint.capture(gh)
 
 
+@pytest.mark.parametrize("mem_arch", architecture_names())
 @settings(max_examples=30, deadline=None)
 @given(epochs)
-def test_access_batch_equals_descriptor_loop(epoch):
-    fused_result, fused_state = build_and_run(epoch, fused=True)
-    loop_result, loop_state = build_and_run(epoch, fused=False)
+def test_access_batch_equals_descriptor_loop(mem_arch, epoch):
+    fused_result, fused_state = build_and_run(epoch, mem_arch, fused=True)
+    loop_result, loop_state = build_and_run(epoch, mem_arch, fused=False)
     for f in dataclasses.fields(fused_result):
         assert getattr(fused_result, f.name) == getattr(loop_result, f.name), (
             f"AccessResult.{f.name} diverged"

@@ -17,6 +17,8 @@ from repro.check import (
 from repro.check.reference import ReferenceSystem
 from repro.core.kernels import ArrayAccess
 from repro.core.runtime import GraceHopperSystem
+from repro.mem import arch as arch_module
+from repro.mem.arch import MemoryArchitecture
 from repro.mem.pageset import PageSet
 from repro.profiling.trace import TraceRecorder
 from repro.sim.config import SystemConfig
@@ -62,9 +64,15 @@ def migrating_workload(gh):
         gh.launch_kernel("k", [ArrayAccess.read(a), ArrayAccess.write_(b)])
 
 
-def test_reference_selection_follows_mem_arch():
+def test_reference_selection_follows_mem_arch(monkeypatch):
     assert type(reference_system_for(SMALL.copy())) is ReferenceSystem
     assert type(reference_system_for(SMALL_UPM.copy())) is UpmReferenceSystem
+
+    class Unreferenced(MemoryArchitecture):
+        name = "no-such-backend"
+
+    # Configs only name registered backends; this one has no reference.
+    monkeypatch.setitem(arch_module._ARCHITECTURES, Unreferenced.name, Unreferenced)
     with pytest.raises(ValueError, match="no reference executor"):
         reference_system_for(SMALL.copy(mem_arch="no-such-backend"))
 

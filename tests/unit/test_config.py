@@ -36,6 +36,17 @@ class TestValidation:
         with pytest.raises(ValueError, match="threshold"):
             SystemConfig(migration_threshold=0)
 
+    def test_rejects_unregistered_mem_arch(self):
+        with pytest.raises(ValueError, match="registered backends: gh200"):
+            SystemConfig(mem_arch="nope")
+        with pytest.raises(ValueError, match="unknown memory architecture"):
+            SystemConfig().copy(mem_arch="nope")
+
+    @pytest.mark.parametrize("size", [3 * 65536, 0, -GPU_PAGE_SIZE])
+    def test_rejects_gpu_page_size_not_a_power_of_two(self, size):
+        with pytest.raises(ValueError, match="power of two"):
+            SystemConfig(gpu_page_size=size)
+
     def test_copy_revalidates(self):
         cfg = SystemConfig()
         with pytest.raises(ValueError):

@@ -160,11 +160,12 @@ class TestStreamingThrash:
         mgr.cpu_access(
             alloc, PageSet.full(alloc.n_pages), full_shape(cfg), write=True, now=0.0
         )
+        evicted_before = counters.total.eviction_bytes
         out = mgr.gpu_access(
             alloc, PageSet.full(alloc.n_pages), full_shape(cfg), write=False, now=1.0
         )
         # Part fits, the rest churns through evict+migrate.
-        assert out.evicted_bytes > 0
+        assert counters.total.eviction_bytes > evicted_before
         assert counters.total.eviction_bytes > 0
         # Thrashed pages end the epoch CPU-resident.
         assert alloc.pages_at(Location.CPU) > 0

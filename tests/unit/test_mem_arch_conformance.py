@@ -344,6 +344,37 @@ def test_managed_moves_reconcile_with_counters(arch_name):
         assert gh.counters.total.pages_evicted > 0
 
 
+class FaultTally(MemObserver):
+    """Sums the pages of every observed first-touch fault per processor."""
+
+    def __init__(self):
+        self.pages = dict.fromkeys(Processor, 0)
+
+    def on_fault(self, processor, alloc, pages, outcome):
+        self.pages[processor] += pages.count
+
+
+# gh200 services managed first touch inside its UVM manager, which does
+# not report faults to observers yet.
+@pytest.mark.parametrize("arch_name", ["upm", "svm"])
+def test_managed_first_touch_reaches_fault_observers(arch_name):
+    mem = make_mem(arch_name)
+    tally = FaultTally()
+    mem.observers.append(tally)
+    alloc = mem.allocate(AllocKind.MANAGED, 8 * MiB)
+    half = alloc.n_pages // 2
+    shape = AccessShape(useful_bytes=mem.config.system_page_size)
+    mem.access(Processor.GPU, alloc, PageSet.range(0, half), shape, write=True)
+    mem.access(
+        Processor.CPU, alloc, PageSet.range(half, alloc.n_pages), shape,
+        write=True,
+    )
+    total = mem.counters.total
+    assert tally.pages[Processor.GPU] == total.gpu_replayable_faults == half
+    assert tally.pages[Processor.CPU] == total.cpu_page_faults
+    assert total.cpu_page_faults == alloc.n_pages - half
+
+
 def test_free_after_evict_drains_all_pool_tags(arch_name):
     """Freeing an allocation whose pages were scattered across tiers by
     eviction returns every pool ledger to its pre-allocation state."""

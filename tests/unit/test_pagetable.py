@@ -31,6 +31,17 @@ class TestAllocation:
         assert a.pages_at(Location.UNMAPPED) == 64
         assert a.mapped_pages == 0
 
+    @pytest.mark.parametrize("kind, prefix", [
+        (AllocKind.SYSTEM, "sys"),
+        (AllocKind.MANAGED, "mng"),
+        (AllocKind.DEVICE, "dev"),
+        (AllocKind.HOST_PINNED, "pin"),
+        (AllocKind.NUMA_CPU, "pin"),
+    ])
+    def test_pool_tag_is_kind_prefix_and_id(self, cfg, kind, prefix):
+        a = make_alloc(cfg, kind=kind)
+        assert a.tag == f"{prefix}:{a.aid}"
+
     def test_device_allocation_starts_gpu(self, cfg):
         a = make_alloc(cfg, kind=AllocKind.DEVICE)
         assert a.is_homogeneous(Location.GPU)
