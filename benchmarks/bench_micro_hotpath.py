@@ -38,13 +38,11 @@ import pytest
 from repro.core.kernels import ArrayAccess
 from repro.core.runtime import GraceHopperSystem
 from repro.interconnect.nvlink import NvlinkC2C
-from repro.mem.coherence import AccessShape, CoherenceFabric
-from repro.mem.gmmu import Gmmu
-from repro.mem.managed import ManagedMemoryManager
+from repro.mem.coherence import AccessShape
 from repro.mem.pageset import PageSet
 from repro.mem.pagetable import Allocation, AllocKind
-from repro.mem.physical import PhysicalMemory
-from repro.mem.tlb import Tlb, TlbHierarchy
+from repro.mem.subsystem import MemorySubsystem
+from repro.mem.tlb import Tlb
 from repro.profiling.counters import HardwareCounters
 from repro.sim.config import Location, MiB, Processor, SystemConfig
 
@@ -374,19 +372,15 @@ class TestManagedEviction:
 
     def _filled(self):
         cfg = SystemConfig.paper_gh200(page_size=65536)
-        mgr = ManagedMemoryManager(
-            cfg, PhysicalMemory(cfg), NvlinkC2C(cfg), Gmmu(cfg),
-            TlbHierarchy(cfg), CoherenceFabric(cfg), HardwareCounters(),
-        )
+        mem = MemorySubsystem(cfg, HardwareCounters())
+        mgr = mem.managed
         shape = AccessShape(useful_bytes=cfg.system_page_size, density=1.0)
-        allocs = []
-        for i in range(2):
-            alloc = Allocation(
-                AllocKind.MANAGED, self.N_RESIDENT // 2 * 2 * MiB, cfg,
-                name=f"sv{i}",
+        allocs = [
+            mem.allocate(
+                AllocKind.MANAGED, self.N_RESIDENT // 2 * 2 * MiB, name=f"sv{i}"
             )
-            mgr.register(alloc)
-            allocs.append(alloc)
+            for i in range(2)
+        ]
         # Interleaved chunked touches, so the LRU order alternates owners.
         for k in range(self.N_TOUCHES):
             alloc = allocs[k % 2]

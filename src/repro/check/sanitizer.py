@@ -41,8 +41,8 @@ Invariants enforced
    and the link's "remote" class equals the sum of the four remote-access
    hardware counters; SMMU/GMMU stats agree with the counter set.
 5. **Page-table coherence** — no freed or mis-kinded allocation is
-   registered, managed allocations appear in both tables and in the
-   managed manager, device allocations are fully GPU-resident.
+   registered, managed allocations appear in both tables, device
+   allocations are fully GPU-resident.
 """
 
 from __future__ import annotations
@@ -419,12 +419,6 @@ class MemSanitizer(MemObserver):
                     self._fail(
                         "table-coherence",
                         "managed allocation missing from the GPU page table",
-                        alloc=alloc,
-                    )
-                if alloc.aid not in mem.managed.allocations:
-                    self._fail(
-                        "table-coherence",
-                        "managed allocation missing from the managed manager",
                         alloc=alloc,
                     )
         for alloc in mem.gpu_table.live_allocations():

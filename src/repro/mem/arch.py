@@ -65,6 +65,15 @@ class AccessResult:
         return self
 
 
+def remote_counter(processor: Processor, write: bool) -> str:
+    """The counter ``processor``'s cacheline-grain traffic to the other
+    pool lands in: ``c2c_*`` for the GPU, ``cpu_remote_*`` for the CPU."""
+    rw = "write" if write else "read"
+    if processor is Processor.GPU:
+        return f"c2c_{rw}_bytes"
+    return f"cpu_remote_{rw}_bytes"
+
+
 def record_gpu_accesses(mem, alloc, pages, wire: int, n_pages: int) -> None:
     """Feed a GPU's remote cacheline traffic to the migrator's access
     counters (``wire`` bytes spread evenly over ``n_pages`` pages)."""
@@ -110,6 +119,12 @@ class MemoryArchitecture:
     def make_migrator(self, config, physical, link, tlbs, counters):
         """Build the post-placement migration policy."""
         raise NotImplementedError
+
+    def make_managed(self, mem):
+        """Build the managed-memory driver ``managed_access`` and
+        ``prefetch_async`` use, from the finished subsystem ``mem``; by
+        default none (the backend prices managed memory itself)."""
+        return None
 
     # -- access-path hooks -------------------------------------------------
 

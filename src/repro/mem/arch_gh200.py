@@ -17,8 +17,10 @@ from .arch import (
     MemoryArchitecture,
     record_gpu_accesses,
     register_architecture,
+    remote_counter,
 )
 from .faults import FaultHandler
+from .managed import ManagedMemoryManager
 from .migration import AccessCounterMigrator
 
 
@@ -40,6 +42,9 @@ class GH200Architecture(MemoryArchitecture):
 
     def make_migrator(self, config, physical, link, tlbs, counters):
         return AccessCounterMigrator(config, physical, link, tlbs, counters)
+
+    def make_managed(self, mem):
+        return ManagedMemoryManager(mem)
 
     # -- access paths ------------------------------------------------------
 
@@ -70,14 +75,11 @@ class GH200Architecture(MemoryArchitecture):
             wire = mem.fabric.remote_traffic(processor, shape, n_remote)
             res.remote_bytes += wire
             res.remote_seconds += mem.link.remote_access_time(wire, processor)
-            rw = "write" if write else "read"
+            mem.counters.bump(**{remote_counter(processor, write): wire})
             if on_gpu:
-                mem.counters.bump(**{f"c2c_{rw}_bytes": wire})
                 record_gpu_accesses(
                     mem, alloc, alloc.subset(pages, remote_loc), wire, n_remote
                 )
-            else:
-                mem.counters.bump(**{f"cpu_remote_{rw}_bytes": wire})
 
         self.charge_far(
             mem, processor, alloc, pages, shape, int(counts[Location.REMOTE]), res
@@ -102,9 +104,7 @@ class GH200Architecture(MemoryArchitecture):
         wire = mem.fabric.remote_traffic(processor, shape, pages.count)
         res.remote_bytes = wire
         res.remote_seconds = mem.link.remote_access_time(wire, processor)
-        mem.counters.bump(
-            **{("c2c_write_bytes" if write else "c2c_read_bytes"): wire}
-        )
+        mem.counters.bump(**{remote_counter(processor, write): wire})
         return res
 
     def prefetch_async(self, mem, alloc, pages, now) -> float:

@@ -40,7 +40,12 @@ under this backend. The counter vocabulary keeps the Grace names:
 from __future__ import annotations
 
 from ..sim.config import Location, Processor
-from .arch import AccessResult, MemoryArchitecture, register_architecture
+from .arch import (
+    AccessResult,
+    MemoryArchitecture,
+    register_architecture,
+    remote_counter,
+)
 from .arch_upm import NullMigrator
 from .faults import FaultHandler
 from .observer import emit_move
@@ -315,9 +320,7 @@ class SvmArchitecture(MemoryArchitecture):
         mem.link.account_external(wire, Processor.CPU, t, "remote")
         res.remote_bytes = wire
         res.remote_seconds = t
-        mem.counters.bump(
-            **{("c2c_write_bytes" if write else "c2c_read_bytes"): wire}
-        )
+        mem.counters.bump(**{remote_counter(processor, write): wire})
         return res
 
     def prefetch_async(self, mem, alloc, pages, now) -> float:

@@ -28,53 +28,37 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..interconnect.nvlink import NvlinkC2C, ordered_sum
-from ..profiling.counters import HardwareCounters
-from ..sim.config import Location, Processor, SystemConfig
-from .arch import AccessResult, resolve_arch
-from .coherence import AccessShape, CoherenceFabric
-from .gmmu import Gmmu
+from ..interconnect.nvlink import ordered_sum
+from ..sim.config import Location, Processor
+from .arch import AccessResult, remote_counter
+from .coherence import AccessShape
+from .faults import FaultOutcome
 from .observer import emit_move
 from .pagetable import Allocation, AllocKind
 from .pageset import PageSet
-from .physical import PhysicalMemory
-from .tlb import TlbHierarchy
 
 
 class ManagedMemoryManager:
-    """Driver logic for all ``cudaMallocManaged`` allocations."""
+    """gh200's UVM driver for every ``cudaMallocManaged`` allocation of
+    the owning :class:`~repro.mem.subsystem.MemorySubsystem` ``mem``.
 
-    def __init__(
-        self,
-        config: SystemConfig,
-        physical: PhysicalMemory,
-        link: NvlinkC2C,
-        gmmu: Gmmu,
-        tlbs: TlbHierarchy,
-        fabric: CoherenceFabric,
-        counters: HardwareCounters,
-    ):
-        self.config = config
-        self.physical = physical
-        self.link = link
-        self.gmmu = gmmu
-        self.tlbs = tlbs
-        self.fabric = fabric
-        self.counters = counters
-        #: The configured backend, whose local-charge hook prices the
-        #: HBM/LPDDR traffic of every managed access.
-        self.arch = resolve_arch(config.mem_arch)
-        #: Memory observers, shared with the owning subsystem.
-        self.observers: list = []
-        #: All live managed allocations, for cross-allocation LRU eviction.
-        self.allocations: dict[int, Allocation] = {}
+    It shares the subsystem's components, its backend (whose local-charge
+    hook prices every managed access's HBM/LPDDR traffic) and its
+    observers; the live managed allocations are those of ``mem``'s GPU
+    page table, in registration order.
+    """
 
-    def register(self, alloc: Allocation) -> None:
-        assert alloc.kind is AllocKind.MANAGED
-        self.allocations[alloc.aid] = alloc
-
-    def unregister(self, alloc: Allocation) -> None:
-        self.allocations.pop(alloc.aid, None)
+    def __init__(self, mem):
+        self.config = mem.config
+        self.physical = mem.physical
+        self.link = mem.link
+        self.gmmu = mem.gmmu
+        self.tlbs = mem.tlbs
+        self.fabric = mem.fabric
+        self.counters = mem.counters
+        self.arch = mem.arch
+        self.observers = mem.observers
+        self.gpu_table = mem.gpu_table
 
     # -- helpers ------------------------------------------------------------
 
@@ -86,8 +70,20 @@ class ManagedMemoryManager:
             self.config.gpu_driver_baseline_bytes
         )
 
-    def _headroom(self) -> int:
-        return self.config.managed_eviction_headroom_bytes
+    def _make_room(self, nbytes: int, now: float) -> tuple[float, int]:
+        """Evict LRU blocks for ``nbytes`` plus the eviction headroom;
+        returns the eviction seconds and how many pages then fit."""
+        headroom = self.config.managed_eviction_headroom_bytes
+        _, evict_t = self.evict_bytes(nbytes + headroom, now)
+        fit_pages = max(self.physical.gpu.free - headroom, 0) // (
+            self.config.system_page_size
+        )
+        return evict_t, fit_pages
+
+    def _report_fault(self, processor, alloc, pages, outcome: FaultOutcome):
+        """Send observers the first-touch fault that mapped ``pages``."""
+        for obs in self.observers:
+            obs.on_fault(processor, alloc, pages, outcome)
 
     # -- eviction ---------------------------------------------------------------
 
@@ -97,7 +93,6 @@ class ManagedMemoryManager:
         Returns ``(bytes_evicted, seconds)``. Eviction writes dirty blocks
         back over the D2H direction at a reduced streaming rate.
         """
-        freed = 0
         seconds = 0.0
         if needed <= self.physical.gpu.free:
             return 0, 0.0
@@ -107,7 +102,10 @@ class ManagedMemoryManager:
         # ordered by touch time) are concatenated and merged with one
         # global stable argsort — identical ordering to sorting
         # per-candidate tuples, without building millions of them.
-        allocs = [a for a in self.allocations.values() if a.pages_at(Location.GPU)]
+        allocs = [
+            a for a in self.gpu_table.allocations.values()
+            if a.kind is AllocKind.MANAGED and a.pages_at(Location.GPU)
+        ]
         if not allocs:
             return 0, 0.0
         per_alloc_blocks = [a.lru_gpu_blocks() for a in allocs]
@@ -200,24 +198,20 @@ class ManagedMemoryManager:
         if n_cpu:
             cpu_pages = alloc.subset(pages, Location.CPU)
             if alloc.oversubscription_pinned:
-                self._remote_access(alloc, cpu_pages, shape, out, write)
+                self._remote_access(cpu_pages, shape, out)
             else:
                 n_hbm += self._on_demand_migrate(alloc, cpu_pages, shape, out, now)
 
         # 4. Remote-pinned pages are always accessed over NVLink-C2C.
         n_pinned = int(counts[Location.CPU_PINNED])
         if n_pinned:
-            self._remote_access(
-                alloc, alloc.subset(pages, Location.CPU_PINNED), shape, out, write
-            )
+            self._remote_access(alloc.subset(pages, Location.CPU_PINNED), shape, out)
 
         self.arch.charge_local(
             self.counters, Processor.GPU, alloc, pages,
             shape.useful_bytes * n_hbm, write, out,
         )
-        self.counters.bump(
-            **{("c2c_write_bytes" if write else "c2c_read_bytes"): out.remote_bytes}
-        )
+        self.counters.bump(**{remote_counter(Processor.GPU, write): out.remote_bytes})
         return out
 
     def _gpu_first_touch(
@@ -235,19 +229,18 @@ class ManagedMemoryManager:
         nbytes = self._page_bytes(pages.count)
         if nbytes == 0:
             return 0
-        _, evict_t = self.evict_bytes(nbytes + self._headroom(), now)
+        evict_t, fit_pages = self._make_room(nbytes, now)
         out.fault_seconds += evict_t
-        fit_pages = max(self.physical.gpu.free - self._headroom(), 0) // (
-            self.config.system_page_size
-        )
         gpu_part = pages.take_first(fit_pages)
         cpu_part = pages.difference(gpu_part)
+        fault_t = 0.0
         if gpu_part:
             got = self._page_bytes(gpu_part.count)
             alloc.set_location(gpu_part, Location.GPU)
             self.physical.gpu.reserve(got, tag=alloc.tag)
             n_blocks = len(gpu_part.blocks(alloc.block_pages))
-            out.fault_seconds += self.gmmu.create_ptes(n_blocks)
+            fault_t = self.gmmu.create_ptes(n_blocks)
+            out.fault_seconds += fault_t
         if cpu_part:
             # Nothing evictable: spill to CPU memory. For naturally
             # oversubscribed allocations the driver remote-maps the spill.
@@ -259,9 +252,9 @@ class ManagedMemoryManager:
             )
             alloc.set_location(cpu_part, loc)
             self.physical.cpu.reserve(spill, tag=alloc.tag)
-            out.fault_seconds += self.gmmu.far_fault(
-                len(cpu_part.blocks(alloc.block_pages))
-            )
+            spill_t = self.gmmu.far_fault(len(cpu_part.blocks(alloc.block_pages)))
+            out.fault_seconds += spill_t
+            fault_t += spill_t
             out.remote_seconds += self.link.remote_access_time(
                 shape.useful_bytes * cpu_part.count,
                 Processor.GPU,
@@ -269,6 +262,10 @@ class ManagedMemoryManager:
             )
             out.remote_bytes += shape.useful_bytes * cpu_part.count
         alloc.stats.managed_faults += 1
+        self._report_fault(
+            Processor.GPU, alloc, pages,
+            FaultOutcome(fault_t, gpu_part.count, cpu_part.count),
+        )
         return gpu_part.count
 
     def _on_demand_migrate(
@@ -286,14 +283,10 @@ class ManagedMemoryManager:
             # fit: remote-map it instead (Section 7, 34-qubit behaviour).
             alloc.oversubscription_pinned = True
             alloc.set_location(cpu_pages, Location.CPU_PINNED)
-            self._remote_access(alloc, cpu_pages, shape, out, write=False)
+            self._remote_access(cpu_pages, shape, out)
             return 0
-        nbytes = self._page_bytes(cpu_pages.count)
-        _, evict_t = self.evict_bytes(nbytes + self._headroom(), now)
+        evict_t, fit_pages = self._make_room(self._page_bytes(cpu_pages.count), now)
         thrash = self.config.eviction_thrash_factor() if evict_t > 0 else 1.0
-        fit_pages = max(self.physical.gpu.free - self._headroom(), 0) // (
-            self.config.system_page_size
-        )
         move = cpu_pages.take_first(fit_pages)
         rest = cpu_pages.difference(move)
         if move:
@@ -381,12 +374,7 @@ class ManagedMemoryManager:
         )
 
     def _remote_access(
-        self,
-        alloc: Allocation,
-        pages: PageSet,
-        shape: AccessShape,
-        out: AccessResult,
-        write: bool,
+        self, pages: PageSet, shape: AccessShape, out: AccessResult
     ) -> None:
         wire = self.fabric.remote_traffic(Processor.GPU, shape, pages.count)
         out.remote_seconds += self.link.remote_access_time(
@@ -415,9 +403,14 @@ class ManagedMemoryManager:
             nbytes = self._page_bytes(unmapped.count)
             alloc.set_location(unmapped, Location.CPU)
             self.physical.cpu.reserve(nbytes, tag=alloc.tag)
-            out.fault_seconds += unmapped.count * self.config.cpu_fault_cost
+            fault_t = unmapped.count * self.config.cpu_fault_cost
+            out.fault_seconds += fault_t
             alloc.stats.cpu_faults += unmapped.count
             self.counters.bump(cpu_page_faults=unmapped.count)
+            self._report_fault(
+                Processor.CPU, alloc, unmapped,
+                FaultOutcome(fault_t, pages_on_cpu=unmapped.count),
+            )
 
         n_gpu = int(counts[Location.GPU])
         if n_gpu:
@@ -463,18 +456,12 @@ class ManagedMemoryManager:
         Moves CPU-resident *and* remote-pinned pages at streaming rate,
         evicting LRU blocks as needed. Returns the transfer time.
         """
-        seconds = 0.0
         movable = alloc.subset(pages, Location.CPU).union(
             alloc.subset(pages, Location.CPU_PINNED)
         )
         if not movable:
             return 0.0
-        nbytes = self._page_bytes(movable.count)
-        _, evict_t = self.evict_bytes(nbytes + self._headroom(), now)
-        seconds += evict_t
-        fit_pages = max(self.physical.gpu.free - self._headroom(), 0) // (
-            self.config.system_page_size
-        )
+        seconds, fit_pages = self._make_room(self._page_bytes(movable.count), now)
         move = movable.take_first(fit_pages)
         if move:
             moved = self._page_bytes(move.count)

@@ -23,7 +23,6 @@ from ..sim.config import Location, Processor, SystemConfig
 from .arch import AccessResult, resolve_arch
 from .coherence import AccessShape, CoherenceFabric
 from .gmmu import Gmmu
-from .managed import ManagedMemoryManager
 from .migration import MigrationReport
 from .observer import MemObserver, emit_move
 from .pagetable import (
@@ -62,19 +61,13 @@ class MemorySubsystem:
         self.migrator = self.arch.make_migrator(
             config, self.physical, self.link, self.tlbs, counters
         )
-        self.managed = ManagedMemoryManager(
-            config,
-            self.physical,
-            self.link,
-            self.gmmu,
-            self.tlbs,
-            self.fabric,
-            counters,
-        )
         #: Set by :meth:`attach_fabric` on multi-superchip nodes.
         self.fabric_port = None
-        #: Subscribed observers (shared with the managed-memory manager).
-        self.observers: list[MemObserver] = self.managed.observers
+        #: Subscribed observers; the managed-memory driver reports to them too.
+        self.observers: list[MemObserver] = []
+        #: The backend's managed-memory driver (gh200's UVM driver), or
+        #: ``None`` where the backend prices managed memory itself.
+        self.managed = self.arch.make_managed(self)
         #: The subscribed invariant checker when ``SystemConfig.sanitize``
         #: or ``REPRO_SANITIZE=1`` asks for one.
         self.sanitizer = None
@@ -116,7 +109,6 @@ class MemorySubsystem:
             self.system_table.register(alloc)
             if kind is AllocKind.MANAGED:
                 self.gpu_table.register(alloc)
-                self.managed.register(alloc)
         elif kind is AllocKind.DEVICE:
             self.gpu_table.register(alloc)
             self.physical.gpu.reserve(alloc.bytes_at(Location.GPU), alloc.tag)
@@ -153,7 +145,6 @@ class MemorySubsystem:
             self.system_table.unregister(alloc)
             if alloc.kind is AllocKind.MANAGED:
                 self.gpu_table.unregister(alloc)
-                self.managed.unregister(alloc)
                 seconds += self.config.cuda_free_call_cost
         elif alloc.kind is AllocKind.DEVICE:
             self.physical.gpu.release(alloc.bytes_at(Location.GPU), alloc.tag)

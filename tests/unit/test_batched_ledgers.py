@@ -11,13 +11,11 @@ import numpy as np
 import pytest
 
 from repro.interconnect.nvlink import NvlinkC2C, ordered_sum
-from repro.mem.coherence import AccessShape, CoherenceFabric
-from repro.mem.gmmu import Gmmu
-from repro.mem.managed import ManagedMemoryManager
+from repro.mem.coherence import AccessShape
 from repro.mem.pageset import PageSet
-from repro.mem.pagetable import Allocation, AllocKind
-from repro.mem.physical import PhysicalMemory
-from repro.mem.tlb import Tlb, TlbHierarchy
+from repro.mem.pagetable import AllocKind
+from repro.mem.subsystem import MemorySubsystem
+from repro.mem.tlb import Tlb
 from repro.profiling.counters import HardwareCounters
 from repro.profiling.timeline import MemTimeline, Timeline
 from repro.sim.config import Location, MiB, Processor, SystemConfig
@@ -121,32 +119,29 @@ class TestShootdownBatch:
 # -- managed eviction against a per-block loop ------------------------------
 
 
-def make_manager(cfg):
-    mgr = ManagedMemoryManager(
-        cfg,
-        PhysicalMemory(cfg),
-        NvlinkC2C(cfg),
-        Gmmu(cfg),
-        TlbHierarchy(cfg),
-        CoherenceFabric(cfg),
-        HardwareCounters(),
-    )
-    return mgr
+def managed_allocations(mgr):
+    """The live managed allocations, in registration order."""
+    return [
+        a for a in mgr.gpu_table.live_allocations()
+        if a.kind is AllocKind.MANAGED
+    ]
 
 
-def oversubscribed_manager():
+def oversubscribed_manager(spacer=None):
     """Three managed allocations sharing GPU memory, touched in an
     interleaved order (with a touch-time tie across allocations) and with
     short last blocks, so the LRU order mixes owners and the evicted
-    blocks differ in size."""
+    blocks differ in size. ``spacer(mem, i)``, if given, runs between
+    the registrations of managed allocations ``i - 1`` and ``i``."""
     cfg = SystemConfig.scaled(1 / 256, page_size=65536)
-    mgr = make_manager(cfg)
+    mem = MemorySubsystem(cfg, HardwareCounters())
     shape = AccessShape(useful_bytes=cfg.system_page_size, density=1.0)
     allocs = []
     for i, nbytes in enumerate((96 * MiB + 192 * 1024, 80 * MiB, 64 * MiB + 64 * 1024)):
-        alloc = Allocation(AllocKind.MANAGED, nbytes, cfg, name=f"m{i}")
-        mgr.register(alloc)
-        allocs.append(alloc)
+        if spacer is not None and i:
+            spacer(mem, i)
+        allocs.append(mem.allocate(AllocKind.MANAGED, nbytes, name=f"m{i}"))
+    mgr = mem.managed
     a, b, c = allocs
     half = a.n_pages // 2
     touches = [
@@ -168,7 +163,7 @@ def per_block_oracle(mgr, needed):
     cfg = mgr.config
     target = needed - mgr.physical.gpu.free
     candidates = []
-    for ai, alloc in enumerate(mgr.allocations.values()):
+    for ai, alloc in enumerate(managed_allocations(mgr)):
         for block in np.flatnonzero(alloc._gpu_block_counts).tolist():
             candidates.append(
                 (float(alloc.block_last_touch[block]), ai, block,
@@ -196,7 +191,7 @@ class TestEvictBytes:
     @pytest.mark.parametrize("fraction", [0.01, 0.3, 0.7, 1.0])
     def test_seconds_match_per_block_loop(self, fraction):
         mgr = oversubscribed_manager()
-        resident = sum(a.bytes_at(Location.GPU) for a in mgr.allocations.values())
+        resident = sum(a.bytes_at(Location.GPU) for a in managed_allocations(mgr))
         needed = mgr.physical.gpu.free + max(1, int(resident * fraction))
         want_s, want_ledger, want_spans = per_block_oracle(mgr, needed)
         shootdowns = mgr.tlbs.gpu.stats.shootdowns
@@ -212,11 +207,11 @@ class TestEvictBytes:
 
     def test_lru_prefix_spans_several_owners(self):
         mgr = oversubscribed_manager()
-        before = {a.name: a.pages_at(Location.GPU) for a in mgr.allocations.values()}
+        before = {a.name: a.pages_at(Location.GPU) for a in managed_allocations(mgr)}
         resident = sum(before.values()) * mgr.config.system_page_size
         mgr.evict_bytes(mgr.physical.gpu.free + resident // 2, now=5.0)
         lost = [
-            a.name for a in mgr.allocations.values()
+            a.name for a in managed_allocations(mgr)
             if a.pages_at(Location.GPU) < before[a.name]
         ]
         assert len(lost) >= 2
@@ -226,7 +221,7 @@ class TestEvictBytes:
         tl = Timeline(time_fn=lambda: 5.0)
         mgr.link.timeline = tl
         mgr.observers.append(MemTimeline(tl))
-        resident = sum(a.bytes_at(Location.GPU) for a in mgr.allocations.values())
+        resident = sum(a.bytes_at(Location.GPU) for a in managed_allocations(mgr))
         needed = mgr.physical.gpu.free + resident // 2
         want_s, _, want_spans = per_block_oracle(mgr, needed)
         freed, seconds = mgr.evict_bytes(needed, now=5.0)
@@ -237,3 +232,34 @@ class TestEvictBytes:
         (evict,) = tl.spans("evict-batch")
         assert evict.duration == seconds == want_s
         assert evict.args["bytes"] == freed
+
+    def test_device_allocation_between_managed_ones_changes_nothing(self):
+        """Eviction candidates are the GPU page table's managed
+        allocations: ``cudaMalloc`` memory registered between them leaves
+        the LRU order and the evicted bytes as a plain pool reservation
+        of the same size does."""
+        spacer_bytes = 8 * MiB
+
+        def balloon(mem, i):
+            mem.physical.gpu.reserve(spacer_bytes, tag=f"balloon{i}")
+
+        def device(mem, i):
+            mem.allocate(AllocKind.DEVICE, spacer_bytes, name=f"d{i}")
+
+        runs = []
+        for spacer in (balloon, device):
+            mgr = oversubscribed_manager(spacer)
+            tl = Timeline(time_fn=lambda: 5.0)
+            mgr.link.timeline = tl
+            allocs = managed_allocations(mgr)
+            resident = sum(a.bytes_at(Location.GPU) for a in allocs)
+            freed, seconds = mgr.evict_bytes(
+                mgr.physical.gpu.free + resident // 2, now=5.0
+            )
+            runs.append((
+                freed, seconds,
+                [(s.args["bytes"], s.duration) for s in tl.spans("c2c:dma")],
+                [a.state.tobytes() for a in allocs],
+            ))
+        assert len(runs[0][2]) > 1
+        assert runs[0] == runs[1]

@@ -2,37 +2,22 @@
 
 import pytest
 
-from repro.mem.coherence import AccessShape, CoherenceFabric
-from repro.mem.gmmu import Gmmu
-from repro.mem.managed import ManagedMemoryManager
+from repro.mem.coherence import AccessShape
 from repro.mem.pageset import PageSet
-from repro.mem.pagetable import Allocation, AllocKind
-from repro.mem.physical import PhysicalMemory
-from repro.mem.tlb import TlbHierarchy
-from repro.interconnect.nvlink import NvlinkC2C
+from repro.mem.pagetable import AllocKind
+from repro.mem.subsystem import MemorySubsystem
 from repro.profiling.counters import HardwareCounters
 from repro.sim.config import Location, MiB, SystemConfig
 
 
 def make_manager(cfg):
-    phys = PhysicalMemory(cfg)
-    counters = HardwareCounters()
-    mgr = ManagedMemoryManager(
-        cfg,
-        phys,
-        NvlinkC2C(cfg),
-        Gmmu(cfg),
-        TlbHierarchy(cfg),
-        CoherenceFabric(cfg),
-        counters,
-    )
-    return mgr, phys, counters
+    """gh200's UVM driver, as its memory subsystem builds it."""
+    mem = MemorySubsystem(cfg, HardwareCounters())
+    return mem, mem.managed, mem.physical, mem.counters
 
 
-def managed_alloc(cfg, mgr, nbytes=32 * MiB):
-    alloc = Allocation(AllocKind.MANAGED, nbytes, cfg)
-    mgr.register(alloc)
-    return alloc
+def managed_alloc(mem, nbytes=32 * MiB):
+    return mem.allocate(AllocKind.MANAGED, nbytes)
 
 
 def full_shape(cfg):
@@ -46,8 +31,8 @@ def cfg():
 
 class TestGpuFirstTouch:
     def test_maps_directly_to_gpu(self, cfg):
-        mgr, phys, _ = make_manager(cfg)
-        alloc = managed_alloc(cfg, mgr)
+        mem, mgr, phys, _ = make_manager(cfg)
+        alloc = managed_alloc(mem)
         out = mgr.gpu_access(
             alloc, PageSet.full(alloc.n_pages), full_shape(cfg), write=True, now=0.0
         )
@@ -56,9 +41,9 @@ class TestGpuFirstTouch:
         assert phys.gpu.by_tag[f"mng:{alloc.aid}"] == alloc.bytes_at(Location.GPU)
 
     def test_spills_cpu_when_gpu_exhausted_and_nothing_evictable(self, cfg):
-        mgr, phys, _ = make_manager(cfg)
+        mem, mgr, phys, _ = make_manager(cfg)
         phys.gpu.reserve(phys.gpu.free, tag="balloon")
-        alloc = managed_alloc(cfg, mgr)
+        alloc = managed_alloc(mem)
         mgr.gpu_access(
             alloc, PageSet.full(alloc.n_pages), full_shape(cfg), write=True, now=0.0
         )
@@ -71,8 +56,8 @@ class TestGpuFirstTouch:
 
 class TestOnDemandMigration:
     def test_cpu_resident_pages_migrate_on_gpu_touch(self, cfg):
-        mgr, phys, counters = make_manager(cfg)
-        alloc = managed_alloc(cfg, mgr)
+        mem, mgr, phys, counters = make_manager(cfg)
+        alloc = managed_alloc(mem)
         mgr.cpu_access(
             alloc, PageSet.full(alloc.n_pages), full_shape(cfg), write=True, now=0.0
         )
@@ -87,13 +72,13 @@ class TestOnDemandMigration:
         assert out.hbm_bytes > 0
 
     def test_eviction_makes_room(self, cfg):
-        mgr, phys, counters = make_manager(cfg)
+        mem, mgr, phys, counters = make_manager(cfg)
         # Fill most of the GPU with an older managed allocation.
-        old = managed_alloc(cfg, mgr, nbytes=phys.gpu.free - 8 * MiB)
+        old = managed_alloc(mem, nbytes=phys.gpu.free - 8 * MiB)
         mgr.gpu_access(
             old, PageSet.full(old.n_pages), full_shape(cfg), write=True, now=0.0
         )
-        new = managed_alloc(cfg, mgr, nbytes=32 * MiB)
+        new = managed_alloc(mem, nbytes=32 * MiB)
         mgr.cpu_access(
             new, PageSet.full(new.n_pages), full_shape(cfg), write=True, now=1.0
         )
@@ -106,8 +91,8 @@ class TestOnDemandMigration:
 
 class TestCpuAccessThrash:
     def test_cpu_touch_migrates_blocks_back(self, cfg):
-        mgr, phys, counters = make_manager(cfg)
-        alloc = managed_alloc(cfg, mgr)
+        mem, mgr, phys, counters = make_manager(cfg)
+        alloc = managed_alloc(mem)
         mgr.gpu_access(
             alloc, PageSet.full(alloc.n_pages), full_shape(cfg), write=True, now=0.0
         )
@@ -122,8 +107,8 @@ class TestCpuAccessThrash:
 
 class TestNaturalOversubscription:
     def test_allocation_larger_than_gpu_gets_pinned(self, cfg):
-        mgr, phys, _ = make_manager(cfg)
-        big = managed_alloc(cfg, mgr, nbytes=phys.gpu.capacity + 64 * MiB)
+        mem, mgr, phys, _ = make_manager(cfg)
+        big = managed_alloc(mem, nbytes=phys.gpu.capacity + 64 * MiB)
         # Fill: first touch on GPU, evicting until spill.
         mgr.gpu_access(
             big, PageSet.full(big.n_pages), full_shape(cfg), write=True, now=0.0
@@ -138,8 +123,8 @@ class TestNaturalOversubscription:
         assert out.remote_seconds > 0
 
     def test_prefetch_rescues_pinned_pages(self, cfg):
-        mgr, phys, _ = make_manager(cfg)
-        big = managed_alloc(cfg, mgr, nbytes=phys.gpu.capacity + 64 * MiB)
+        mem, mgr, phys, _ = make_manager(cfg)
+        big = managed_alloc(mem, nbytes=phys.gpu.capacity + 64 * MiB)
         mgr.gpu_access(
             big, PageSet.full(big.n_pages), full_shape(cfg), write=True, now=0.0
         )
@@ -154,9 +139,9 @@ class TestNaturalOversubscription:
 
 class TestStreamingThrash:
     def test_working_set_beyond_free_thrashes(self, cfg):
-        mgr, phys, counters = make_manager(cfg)
+        mem, mgr, phys, counters = make_manager(cfg)
         phys.gpu.reserve(phys.gpu.free - 16 * MiB, tag="balloon")
-        alloc = managed_alloc(cfg, mgr, nbytes=64 * MiB)
+        alloc = managed_alloc(mem, nbytes=64 * MiB)
         mgr.cpu_access(
             alloc, PageSet.full(alloc.n_pages), full_shape(cfg), write=True, now=0.0
         )
@@ -174,9 +159,9 @@ class TestStreamingThrash:
         times = {}
         for page in (4096, 65536):
             cfg = SystemConfig.scaled(1 / 256, page_size=page)
-            mgr, phys, _ = make_manager(cfg)
+            mem, mgr, phys, _ = make_manager(cfg)
             phys.gpu.reserve(phys.gpu.free - 16 * MiB, tag="balloon")
-            alloc = managed_alloc(cfg, mgr, nbytes=64 * MiB)
+            alloc = managed_alloc(mem, nbytes=64 * MiB)
             mgr.cpu_access(
                 alloc, PageSet.full(alloc.n_pages),
                 AccessShape(useful_bytes=page), write=True, now=0.0,
