@@ -5,6 +5,8 @@ epoch executor target:
 
 * ``PageSet.of`` on a fig11-shaped gather, against the seed's
   ``np.unique`` dedup;
+* one Gups epoch's ``irregular_gather`` at golden scale, which draws
+  per-page hit counts, against drawing every element index;
 * symbolic set algebra at paper scale (two million 64 KB pages = the
   128 GB statevector of the 34-qubit Quantum Volume run) — including a
   head-to-head against the seed implementation of the range-split
@@ -35,6 +37,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.apps.synthetic import Gups
 from repro.core.kernels import ArrayAccess
 from repro.core.runtime import GraceHopperSystem
 from repro.interconnect.nvlink import NvlinkC2C
@@ -45,6 +48,7 @@ from repro.mem.subsystem import MemorySubsystem
 from repro.mem.tlb import Tlb
 from repro.profiling.counters import HardwareCounters
 from repro.sim.config import Location, MiB, Processor, SystemConfig
+from repro.workloads.patterns import irregular_gather
 
 #: Two million pages — the paper's 128 GB statevector at 64 KB pages.
 N_PAGES = 2 * 1024 * 1024
@@ -93,13 +97,24 @@ def _record(name: str, seconds: float, **extra) -> None:
     RESULTS["benchmarks"][name] = {"seconds": seconds, **extra}
 
 
+def export(path: Path, results: dict) -> None:
+    """Merge ``results`` into the JSON file at ``path``.
+
+    Sections other benchmarks own (the ``cluster`` headlines) are kept,
+    and ``benchmarks`` is merged entry by entry, so a partial ``-k`` run
+    updates only the entries it measured.
+    """
+    existing = json.loads(path.read_text()) if path.exists() else {}
+    benchmarks = {**existing.get("benchmarks", {}), **results["benchmarks"]}
+    merged = {**existing, **results, "benchmarks": benchmarks}
+    path.write_text(json.dumps(merged, indent=2) + "\n")
+
+
 @pytest.fixture(scope="module", autouse=True)
 def export_results():
     yield
     path = Path(__file__).resolve().parent.parent / "BENCH_hotpath.json"
-    # Keep the sections other benchmarks own (the ``cluster`` headlines).
-    existing = json.loads(path.read_text()) if path.exists() else {}
-    path.write_text(json.dumps({**existing, **RESULTS}, indent=2) + "\n")
+    export(path, RESULTS)
 
 
 def _seed_difference(a: PageSet, b: PageSet) -> PageSet:
@@ -209,6 +224,52 @@ class TestPageSetOf:
         )
         benchmark.pedantic(lambda: PageSet.of(idx), rounds=5, iterations=2)
         assert speedup >= 5.0, f"only {speedup:.1f}x over the seed"
+
+
+def _index_draw_gather(arr, n_elements: int, rng: np.random.Generator):
+    """The page set of the old ``irregular_gather``: draw every element
+    index, map each to its page, dedup. Kept inline as the baseline the
+    per-page occupancy draw is measured against."""
+    idx = rng.integers(
+        0, arr.size, size=min(n_elements, arr.size), dtype=np.int64
+    )
+    return arr.pages_of_indices(idx)
+
+
+class TestIrregularGather:
+    """One Gups epoch's gather at golden scale (1/64): four million
+    updates over a 1,024-page table."""
+
+    def test_irregular_gather_gups_speedup_vs_index_draw(self, benchmark):
+        gups = Gups(scale=1 / 64)
+        gh = GraceHopperSystem(SystemConfig.scaled(1 / 64, page_size=65536))
+        arr = gh.malloc(np.uint64, (gups.table_words,), name="table")
+        n = min(gups.updates, arr.size)
+        rng = np.random.default_rng(gups.seed)
+
+        def occupancy():
+            return irregular_gather(arr, n, rng=rng, write=True)
+
+        def index_draw():
+            return _index_draw_gather(arr, n, rng)
+
+        # Every page is hit (~4,096 expected hits each), so both draws
+        # give the whole table.
+        assert occupancy().pages.covers_all(arr.n_pages)
+        assert index_draw().covers_all(arr.n_pages)
+        new_t = _best(occupancy, number=20)
+        old_t = _best(index_draw, repeat=3, number=2)
+        speedup = old_t / new_t
+        _record(
+            "irregular_gather_gups",
+            new_t,
+            index_draw_seconds=old_t,
+            updates=n,
+            pages=arr.n_pages,
+            speedup_vs_index_draw=round(speedup, 1),
+        )
+        benchmark.pedantic(occupancy, rounds=5, iterations=20)
+        assert speedup >= 10.0, f"only {speedup:.1f}x over the index draw"
 
 
 class TestSubsystemDispatch:

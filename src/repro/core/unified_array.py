@@ -93,6 +93,18 @@ class UnifiedArray:
         pages = (idx * self.itemsize) // self.page_size
         return PageSet.of(pages)
 
+    def elements_per_page(self) -> np.ndarray:
+        """How many elements have their first byte on each page, by the
+        same rule as :meth:`pages_of_indices` — the histogram it implies
+        for ``np.arange(size)``, in O(pages). Pages holding no element's
+        first byte (the tail of the last element, or the inside of an
+        element larger than a page) count 0."""
+        last = (self.size - 1) * self.itemsize // self.page_size
+        starts = np.arange(last + 2, dtype=np.int64) * self.page_size
+        # The first element whose first byte is at or past each page start.
+        edges = np.minimum(-(-starts // self.itemsize), self.size)
+        return np.diff(edges)
+
     def bytes_per_page(self, fraction: float = 1.0) -> int:
         """Useful bytes per page for a sweep touching ``fraction`` of each
         page's elements."""

@@ -6,10 +6,13 @@ an address space with the host over a PCIe-class link. Three properties
 define its economics, and this backend models exactly those:
 
 * **no cacheline-grain remote access** — there is no hardware-coherent
-  load/store path across the link. Every touch of a non-resident page
-  is a page fault followed by a *page-granularity* transfer; the
+  load/store path across the link. Every touch of a non-resident
+  pageable or managed page is a page fault followed by a
+  *page-granularity* transfer; for those two kinds the
   ``c2c_*``/``cpu_remote_*`` remote-access counters therefore never
-  move under this backend (the differential test asserts it);
+  move (the differential test asserts it). Host-pinned memory is the
+  one exception: it stays host-resident, and the GPU reaches it by
+  zero-copy DMA over the link, charged to ``c2c_*`` by its wire bytes;
 * **eager fault-driven migration** — a faulting access pulls the whole
   page to the faulting processor's pool immediately (there is no
   access-counter machinery to defer the decision), so ping-pong access

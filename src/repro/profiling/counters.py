@@ -138,16 +138,15 @@ class CounterSet:
     fabric_transfers: int = 0
     pages_spilled_remote: int = 0  # first-touch spills to a peer chip's DDR
 
+    # Captured around every kernel launch, so these read the instance
+    # ``__dict__`` by the precomputed names in ``_FIELDS``.
     def snapshot(self) -> "CounterSet":
-        return CounterSet(**{f.name: getattr(self, f.name) for f in fields(self)})
+        now = self.__dict__
+        return CounterSet(*[now[name] for name in _FIELDS])
 
     def delta(self, earlier: "CounterSet") -> "CounterSet":
-        return CounterSet(
-            **{
-                f.name: getattr(self, f.name) - getattr(earlier, f.name)
-                for f in fields(self)
-            }
-        )
+        now, then = self.__dict__, earlier.__dict__
+        return CounterSet(*[now[name] - then[name] for name in _FIELDS])
 
     def add(self, **increments: int) -> None:
         for name, value in increments.items():
@@ -164,7 +163,12 @@ class CounterSet:
         return self.c2c_read_bytes
 
     def as_dict(self) -> dict[str, int]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        now = self.__dict__
+        return {name: now[name] for name in _FIELDS}
+
+
+#: Counter names in declaration order (the order of :meth:`as_dict`).
+_FIELDS = tuple(f.name for f in fields(CounterSet))
 
 
 @dataclass
@@ -196,7 +200,7 @@ class KernelTrafficRecord:
 
 #: Valid counter names, checked on the hot :meth:`HardwareCounters.bump`
 #: path so typos fail at the call site rather than at flush time.
-_COUNTER_NAMES = frozenset(f.name for f in fields(CounterSet))
+_COUNTER_NAMES = frozenset(_FIELDS)
 
 
 class HardwareCounters:

@@ -42,13 +42,19 @@ def irregular_gather(
 ) -> ArrayAccess:
     """Sparse random gather of ``n_elements`` elements over the array.
 
-    Element indices are drawn uniformly; the resulting density drives the
-    cacheline read-amplification model of :mod:`repro.mem.coherence`.
+    Elements are drawn uniformly with replacement. Only the set of pages
+    they land on reaches the model, so the draw is of per-page hit
+    counts — multinomial over each page's share of elements, the same
+    distribution as the element draws, in O(pages) rather than
+    O(elements). The resulting density drives the cacheline
+    read-amplification model of :mod:`repro.mem.coherence`.
     """
     if n_elements <= 0:
         raise ValueError("n_elements must be positive")
-    idx = rng.integers(0, arr.size, size=min(n_elements, arr.size), dtype=np.int64)
-    pages = arr.pages_of_indices(idx)
+    hits = rng.multinomial(
+        min(n_elements, arr.size), arr.elements_per_page() / arr.size
+    )
+    pages = PageSet.of(np.flatnonzero(hits))
     elems_per_page = max(arr.page_size // arr.itemsize, 1)
     density = min(1.0, (n_elements / max(pages.count, 1)) / elems_per_page)
     maker = ArrayAccess.write_ if write else ArrayAccess.read

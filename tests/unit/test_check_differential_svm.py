@@ -22,7 +22,7 @@ from repro.core.kernels import ArrayAccess
 from repro.core.runtime import GraceHopperSystem
 from repro.mem.pageset import PageSet
 from repro.profiling.trace import TraceRecorder
-from repro.sim.config import SystemConfig
+from repro.sim.config import MiB, SystemConfig
 
 SMALL = SystemConfig.paper_gh200().scaled(1 / 256)
 SMALL_SVM = SMALL.copy(mem_arch="svm")
@@ -197,3 +197,34 @@ def test_svm_config_knobs_validated():
         SystemConfig.paper_gh200(svm_link_gbps=0.0)
     with pytest.raises(ValueError, match="svm_fault_cost"):
         SystemConfig.paper_gh200(svm_fault_cost=-1.0)
+
+
+def test_remote_counters_move_only_for_pinned_gpu_reads():
+    """Pageable and managed memory never move the remote counters under
+    SVM; a GPU read of host-pinned memory is zero-copy DMA over the link
+    and is charged to ``c2c_*`` by its wire bytes."""
+    gh = GraceHopperSystem(SMALL_SVM.copy())
+    n = 8 * MiB // 4
+    pageable = gh.malloc(np.float32, n, name="pageable")
+    managed = gh.cuda_malloc_managed(np.float32, n, name="managed")
+    pinned = gh.cuda_malloc_host(np.float32, n, name="pinned")
+    gh.cpu_phase(
+        "init", [ArrayAccess.write_(a) for a in (pageable, managed, pinned)]
+    )
+    for _ in range(2):
+        gh.launch_kernel(
+            "k", [ArrayAccess.read(pageable), ArrayAccess.write_(managed)]
+        )
+        gh.cpu_phase(
+            "post", [ArrayAccess.write_(pageable), ArrayAccess.read(managed)]
+        )
+    total = gh.counters.total
+    assert total.gpu_replayable_faults > 0
+    for name in REMOTE_COUNTERS:
+        assert getattr(total, name) == 0, name
+
+    gh.launch_kernel("zero-copy", [ArrayAccess.read(pinned)])
+    moved = gh.counters.kernel_records[-1].counters.as_dict()
+    assert moved["c2c_read_bytes"] == pinned.nbytes == 8 * MiB
+    for name in REMOTE_COUNTERS[1:]:
+        assert moved[name] == 0, name

@@ -1,5 +1,7 @@
 """Unit tests for the profiling tools (Section 3.2)."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -33,6 +35,18 @@ class TestCounterSet:
     def test_as_dict_roundtrip(self):
         c = CounterSet(lpddr_read_bytes=3)
         assert c.as_dict()["lpddr_read_bytes"] == 3
+
+    def test_capture_matches_every_field_in_declaration_order(self):
+        names = [f.name for f in fields(CounterSet)]
+        c = CounterSet(*range(1, len(names) + 1))
+        earlier = CounterSet(*range(len(names)))
+        assert list(c.as_dict()) == names
+        assert c.as_dict() == {n: getattr(c, n) for n in names}
+        snap = c.snapshot()
+        assert snap == c and snap is not c
+        c.add(hbm_read_bytes=1)
+        assert snap.hbm_read_bytes == 1
+        assert snap.delta(earlier).as_dict() == dict.fromkeys(names, 1)
 
 
 class TestKernelRecords:

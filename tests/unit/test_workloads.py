@@ -96,6 +96,54 @@ class TestPatterns:
         with pytest.raises(ValueError):
             irregular_gather(arr, 0, rng=np.random.default_rng(0))
 
+    def test_page_shares_sum_to_one_with_a_short_last_page(self, gh):
+        per_page = gh.config.system_page_size // 8
+        arr = gh.malloc(np.float64, (9 * per_page + 100,))
+        w = arr.elements_per_page() / arr.size
+        assert len(w) == 10
+        assert w.sum() == pytest.approx(1.0, abs=1e-12)
+        assert w[-1] == 100 / arr.size
+        assert np.all(w[:-1] == per_page / arr.size)
+
+    @pytest.mark.parametrize(
+        "dtype, size",
+        [
+            ("V3", 50_000),
+            ([("x", "f8"), ("y", "f8"), ("z", "f8")], 50_000),
+            ("V70000", 40),
+        ],
+        ids=["3-byte", "24-byte", "longer-than-a-page"],
+    )
+    def test_page_shares_follow_pages_of_indices(self, gh, dtype, size):
+        # itemsize does not divide the page size: elements straddle page
+        # boundaries and each counts on the page of its first byte.
+        arr = gh.malloc(dtype, (size,))
+        assert gh.config.system_page_size % arr.itemsize
+        idx = np.arange(arr.size)
+        first_byte_pages = (idx * arr.itemsize) // arr.page_size
+        counts = arr.elements_per_page()
+        assert counts.tolist() == np.bincount(first_byte_pages).tolist()
+        touched = arr.pages_of_indices(idx)
+        assert touched.indices().tolist() == np.flatnonzero(counts).tolist()
+
+    def test_sparse_gather_hits_the_expected_number_of_pages(self, gh):
+        # n well below the page count: many pages are missed, so the
+        # sampled page set depends on the draw. Its mean size must match
+        # the uniform-draw expectation sum_p 1 - (1 - w_p)^n.
+        per_page = gh.config.system_page_size // 8
+        arr = gh.malloc(np.float64, (1023 * per_page + 7,))
+        n = 64
+        w = arr.elements_per_page() / arr.size
+        expected = float(np.sum(1.0 - (1.0 - w) ** n))
+        rng = np.random.default_rng(5)
+        counts = [
+            irregular_gather(arr, n, rng=rng).pages.count for _ in range(2000)
+        ]
+        # Var(distinct) < n; 2000 samples put the mean's standard error
+        # below 0.18 pages, so 1 page is over five standard errors.
+        assert np.mean(counts) == pytest.approx(expected, abs=1.0)
+        assert max(counts) <= n
+
     def test_mixed_pattern(self, gh):
         rng = np.random.default_rng(2)
         dense = gh.malloc(np.float32, (1 << 18,))
